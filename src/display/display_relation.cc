@@ -396,6 +396,157 @@ Result<draw::DrawableList> DisplayRelation::DisplayOf(size_t row) const {
   return v.display_value();
 }
 
+namespace {
+
+/// `v` as a location coordinate; false where LocationOf rejects it (null or
+/// non-numeric).
+bool NumericValue(const Value& v, double* out) {
+  if (!v.is_int() && !v.is_float()) return false;
+  *out = v.AsDouble();
+  return true;
+}
+
+/// Row `row` of `column` as a location coordinate, without boxing.
+bool NumericCell(const db::ColumnVector& column, size_t row, double* out) {
+  if (column.IsNull(row)) return false;
+  if (column.type == DataType::kInt) {
+    *out = static_cast<double>(column.ints[row]);
+    return true;
+  }
+  if (column.type == DataType::kFloat) {
+    *out = column.floats[row];
+    return true;
+  }
+  return false;
+}
+
+/// Element k of `v` as a location coordinate, without boxing typed vectors.
+bool NumericAt(const expr::Vec& v, size_t k, double* out) {
+  switch (v.rep) {
+    case expr::Vec::Rep::kConst:
+      return NumericValue(v.cval, out);
+    case expr::Vec::Rep::kView:
+      return NumericCell(*v.view, (*v.view_sel)[k], out);
+    case expr::Vec::Rep::kOwned:
+      break;
+  }
+  if (v.is_boxed()) return NumericValue(v.boxed[k], out);
+  if (v.IsNull(k)) return false;
+  if (v.type == DataType::kInt) {
+    *out = static_cast<double>(v.ints[k]);
+    return true;
+  }
+  if (v.type == DataType::kFloat) {
+    *out = v.floats[k];
+    return true;
+  }
+  return false;
+}
+
+bool IdentityTransform(const Attribute& attr) {
+  return attr.scale == 1.0 && attr.translate == 0.0;
+}
+
+}  // namespace
+
+struct SliceEvaluator::Impl {
+  Impl(const DisplayRelation& relation, const db::ExecPolicy& policy)
+      : source(relation), evaluator(source, policy) {}
+
+  DisplayBatchSource source;
+  expr::BatchEvaluator evaluator;
+};
+
+SliceEvaluator::SliceEvaluator(const DisplayRelation& relation,
+                               const db::ExecPolicy& policy)
+    : relation_(relation), impl_(std::make_unique<Impl>(relation, policy)) {}
+
+SliceEvaluator::~SliceEvaluator() {
+  expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
+  metrics.nodes_vectorized += impl_->evaluator.stats().vectorized_nodes;
+  metrics.nodes_fallback += impl_->evaluator.stats().fallback_nodes;
+}
+
+Status SliceEvaluator::Location(size_t dim, const expr::Selection& sel,
+                                std::vector<double>* values,
+                                std::vector<uint8_t>* valid) {
+  if (dim >= relation_.location_names().size()) {
+    return Status::OutOfRange("location dimension " + std::to_string(dim) +
+                              " out of range");
+  }
+  const std::string& name = relation_.location_names()[dim];
+  const Attribute* attr = relation_.FindAttribute(name);
+  if (attr == nullptr) {
+    return Status::NotFound("no attribute '" + name + "' on relation '" +
+                            relation_.name() + "'");
+  }
+  const size_t n = sel.size();
+  values->resize(n);
+  double* out = values->data();
+  uint8_t* ok = valid->data();
+  switch (attr->source) {
+    case AttrSource::kStored: {
+      // StoredColumn applies the Scale/Translate transform; nullptr means a
+      // transformed non-numeric column, whose TypeError LocationOf reports.
+      const db::ColumnVector* column = impl_->source.StoredColumn(attr->stored_index);
+      if (column == nullptr) {
+        return Status::TypeError("location attribute '" + name + "' is not numeric");
+      }
+      for (size_t k = 0; k < n; ++k) {
+        if (!NumericCell(*column, sel[k], &out[k])) ok[k] = 0;
+      }
+      break;
+    }
+    case AttrSource::kRowNumber:
+      for (size_t k = 0; k < n; ++k) {
+        TIOGA2_ASSIGN_OR_RETURN(
+            Value v, ApplyTransform(*attr, Value::Float(static_cast<double>(sel[k]))));
+        out[k] = v.AsDouble();
+      }
+      break;
+    case AttrSource::kExpr: {
+      TIOGA2_ASSIGN_OR_RETURN(expr::Vec vec,
+                              impl_->evaluator.Eval(attr->definition->root(), sel));
+      const bool identity = IdentityTransform(*attr);
+      for (size_t k = 0; k < n; ++k) {
+        if (identity) {
+          if (!NumericAt(vec, k, &out[k])) ok[k] = 0;
+          continue;
+        }
+        // A transform of a non-numeric value is LocationOf's TypeError.
+        Result<Value> v = ApplyTransform(*attr, vec.ValueAt(k));
+        if (!v.ok() || !NumericValue(v.value(), &out[k])) ok[k] = 0;
+      }
+      break;
+    }
+    case AttrSource::kCombine:
+    case AttrSource::kDefaultDisplay:
+      return Status::TypeError("location attribute '" + name + "' is not numeric");
+  }
+  expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
+  ++metrics.display_attr_batches;
+  metrics.display_attr_rows += n;
+  return Status::OK();
+}
+
+bool SliceEvaluator::DisplayBatchable() const {
+  const Attribute* attr = relation_.FindAttribute(relation_.display_name());
+  return attr != nullptr && attr->source == AttrSource::kExpr &&
+         attr->definition.has_value() && IdentityTransform(*attr);
+}
+
+Result<expr::Vec> SliceEvaluator::Displays(const expr::Selection& sel) {
+  if (!DisplayBatchable()) {
+    return Status::FailedPrecondition("display attribute '" + relation_.display_name() +
+                                      "' has no batch form");
+  }
+  const Attribute* attr = relation_.FindAttribute(relation_.display_name());
+  expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
+  ++metrics.display_attr_batches;
+  metrics.display_attr_rows += sel.size();
+  return impl_->evaluator.Eval(attr->definition->root(), sel);
+}
+
 expr::TypeEnv DisplayRelation::Env() const {
   // Snapshot the attribute table; the env outlives `this` inside boxes.
   std::vector<Attribute> attrs = attributes_;

@@ -1,7 +1,9 @@
 #ifndef TIOGA2_DISPLAY_DISPLAY_RELATION_H_
 #define TIOGA2_DISPLAY_DISPLAY_RELATION_H_
 
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -11,6 +13,11 @@
 #include "db/relation.h"
 #include "draw/drawable.h"
 #include "expr/expr.h"
+
+namespace tioga2::expr {
+struct Vec;
+using Selection = std::vector<uint32_t>;  // as declared in expr/batch.h
+}  // namespace tioga2::expr
 
 namespace tioga2::display {
 
@@ -241,6 +248,47 @@ class DisplayRelation {
   std::vector<std::string> location_names_;
   std::string display_name_;
   ElevationRange elevation_range_;
+};
+
+/// Evaluates a DisplayRelation's location and active display attributes over
+/// row selections through the batch path: the ranged counterpart of
+/// AttributeValues, for callers that walk a relation one slice of rows at a
+/// time (the renderer). One evaluator serves the whole walk, so a
+/// transformed stored column materializes once rather than once per slice.
+/// Evaluation runs on the calling thread. `relation` must outlive it.
+///
+/// A method returning an error means some row of the selection failed to
+/// evaluate, or the attribute has no batch form; the caller then takes the
+/// per-row LocationOf / DisplayOf path for that selection, which reports
+/// each row's own error.
+class SliceEvaluator {
+ public:
+  SliceEvaluator(const DisplayRelation& relation, const db::ExecPolicy& policy);
+  ~SliceEvaluator();
+
+  SliceEvaluator(const SliceEvaluator&) = delete;
+  SliceEvaluator& operator=(const SliceEvaluator&) = delete;
+
+  /// Location dimension `dim` for the rows of `sel`: (*values)[k] belongs to
+  /// row sel[k]. Clears (*valid)[k] where LocationOf(sel[k]) rejects the
+  /// value as null or non-numeric; entries already cleared stay cleared.
+  /// `valid` must hold sel.size() entries.
+  Status Location(size_t dim, const expr::Selection& sel, std::vector<double>* values,
+                  std::vector<uint8_t>* valid);
+
+  /// Whether the active display attribute has a batch form. Combine and
+  /// default displays have none; callers take DisplayOf per row for them.
+  bool DisplayBatchable() const;
+
+  /// The active display attribute for the rows of `sel`: element k is
+  /// value-identical to AttributeValue(sel[k], display_name()). The result
+  /// may borrow `sel`, which must outlive it.
+  Result<expr::Vec> Displays(const expr::Selection& sel);
+
+ private:
+  struct Impl;
+  const DisplayRelation& relation_;
+  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace tioga2::display

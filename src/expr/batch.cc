@@ -420,6 +420,37 @@ void PromoteIfUniform(Vec* v) {
   *v = std::move(typed);
 }
 
+/// Batch path for the unary conversions float(numeric) and days(date) over
+/// typed operands: one typed loop instead of a boxed Value per row (computed
+/// location attributes such as `float(days(obs_date))` are evaluated every
+/// frame). Values are identical to the overloads' scalar eval, Float of the
+/// operand's double value and Int of the date's day count; null operands
+/// give null. Returns false for anything else, and the caller falls back.
+bool TryEvalConversionBuiltin(const ExprNode& node, const std::vector<Vec>& args,
+                              size_t n, Vec* out) {
+  if (node.overload == nullptr || node.overload->null_opaque || args.size() != 1) {
+    return false;
+  }
+  const Vec& arg = args[0];
+  if (arg.rep == Vec::Rep::kConst || arg.is_boxed()) return false;
+  std::optional<DataType> t = UniformType(arg);
+  if (!t.has_value()) return false;
+  const bool to_float = node.name == "float" && IsNumericType(*t);
+  const bool to_days = node.name == "days" && *t == DataType::kDate;
+  if (!to_float && !to_days) return false;
+  *out = MakeTypedVec(to_float ? DataType::kFloat : DataType::kInt, n);
+  for (size_t k = 0; k < n; ++k) {
+    if (arg.IsNull(k)) {
+      out->SetNull(k);
+    } else if (to_float) {
+      out->floats[k] = ReadDouble(arg, k);
+    } else {
+      out->ints[k] = ReadDateDays(arg, k);
+    }
+  }
+  return true;
+}
+
 /// Batch path for the drawable-constructor builtins (point/circle/rect/line/
 /// text/offset): styling arguments (colors, fill flags) must be batch
 /// constants so parsing and decoding hoist out of the row loop, while
@@ -1164,10 +1195,11 @@ Result<Vec> BatchEvaluator::EvalCall(const ExprNode& node, const Selection& sel)
     args.push_back(std::move(v));
   }
   {
-    Vec display_out;
-    if (TryEvalDisplayBuiltin(node, args, n, &display_out)) {
+    Vec typed_out;
+    if (TryEvalConversionBuiltin(node, args, n, &typed_out) ||
+        TryEvalDisplayBuiltin(node, args, n, &typed_out)) {
       ++stats_.vectorized_nodes;
-      return display_out;
+      return typed_out;
     }
   }
   // Builtins run element-wise on the vectorized operands.

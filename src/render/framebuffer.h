@@ -1,6 +1,7 @@
 #ifndef TIOGA2_RENDER_FRAMEBUFFER_H_
 #define TIOGA2_RENDER_FRAMEBUFFER_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,15 @@ class Framebuffer {
     if (x < 0 || y < 0 || x >= width_ || y >= height_) return;
     pixels_[static_cast<size_t>(y) * static_cast<size_t>(width_) +
             static_cast<size_t>(x)] = color;
+  }
+
+  /// Fills pixels [x0, x1] of row y. Unlike Set there is no bounds test: the
+  /// caller guarantees 0 <= x0, x1 < width() and 0 <= y < height(), or
+  /// x0 > x1 (an empty span).
+  void FillSpan(int y, int x0, int x1, const draw::Color& color) {
+    if (x0 > x1) return;
+    draw::Color* row = pixels_.data() + static_cast<size_t>(y) * static_cast<size_t>(width_);
+    std::fill(row + x0, row + x1 + 1, color);
   }
 
   /// Reads one pixel; out-of-bounds reads return black.

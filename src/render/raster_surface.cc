@@ -22,40 +22,88 @@ bool DashOn(const draw::LineStyle style, int step) {
   return true;
 }
 
+/// Device coordinates, radii and glyph scales saturate to ±kDeviceLimit
+/// before they become ints. The limit is far outside any framebuffer, so a
+/// primitive whose coordinates stay inside it is rasterized unchanged. Past
+/// it a primitive is far off screen (a line through the view then keeps its
+/// visible end but its slope bends). Saturation keeps the integer
+/// arithmetic in range at any zoom: Bresenham's error terms stay under 8×
+/// the limit, and glyph offsets are computed in int64_t.
+constexpr int kDeviceLimit = 1 << 20;
+
+/// lround(v) saturated to [-kDeviceLimit, kDeviceLimit]; NaN maps to
+/// -kDeviceLimit.
+int DeviceInt(double v) {
+  if (!(v > -kDeviceLimit)) return -kDeviceLimit;
+  if (v >= kDeviceLimit) return kDeviceLimit;
+  return static_cast<int>(std::lround(v));
+}
+
+/// Narrows the integer range [*lo, *hi] to the integers p with
+/// bound_lo <= p <= bound_hi, leaving it empty (*lo > *hi) when none remain.
+/// A NaN bound narrows nothing, as a comparison against NaN rejects nothing
+/// in TransformStack::Clipped.
+void NarrowRange(double bound_lo, double bound_hi, int* lo, int* hi) {
+  if (bound_lo > *lo) *lo = bound_lo > *hi ? *hi + 1 : static_cast<int>(std::ceil(bound_lo));
+  if (bound_hi < *hi) *hi = bound_hi < *lo ? *lo - 1 : static_cast<int>(std::floor(bound_hi));
+}
+
 }  // namespace
 
-void RasterSurface::PlotDevice(int x, int y, int thickness, const draw::Color& color) {
-  if (thickness <= 1) {
-    if (!transform_.Clipped(x, y)) fb_->Set(x, y, color);
-    return;
-  }
-  int half = thickness / 2;
-  for (int dy = -half; dy <= half; ++dy) {
-    for (int dx = -half; dx <= half; ++dx) {
-      if (!transform_.Clipped(x + dx, y + dy)) fb_->Set(x + dx, y + dy, color);
-    }
+void RasterSurface::UpdateBox() {
+  box_ = PixelBox{0, 0, fb_->width() - 1, fb_->height() - 1};
+  const TransformStack::Frame& frame = transform_.Top();
+  if (frame.has_clip) {
+    // Clipped() keeps pixel p iff clip_x0 <= p <= clip_x1 (and likewise in y).
+    NarrowRange(frame.clip_x0, frame.clip_x1, &box_.x0, &box_.x1);
+    NarrowRange(frame.clip_y0, frame.clip_y1, &box_.y0, &box_.y1);
   }
 }
 
-void RasterSurface::Plot(double x, double y, int thickness, const draw::Color& color) {
-  transform_.Apply(&x, &y);
-  PlotDevice(static_cast<int>(std::lround(x)), static_cast<int>(std::lround(y)),
-             thickness, color);
+void RasterSurface::FillBlock(int64_t x0, int64_t y0, int64_t x1, int64_t y1,
+                              const draw::Color& color) {
+  const int64_t ya = std::max<int64_t>(y0, box_.y0);
+  const int64_t yb = std::min<int64_t>(y1, box_.y1);
+  const int64_t xa = std::max<int64_t>(x0, box_.x0);
+  const int64_t xb = std::min<int64_t>(x1, box_.x1);
+  if (xa > xb) return;
+  for (int64_t y = ya; y <= yb; ++y) {
+    fb_->FillSpan(static_cast<int>(y), static_cast<int>(xa), static_cast<int>(xb), color);
+  }
+}
+
+void RasterSurface::PlotDevice(int x, int y, int thickness, const draw::Color& color) {
+  if (thickness <= 1) {
+    if (box_.Contains(x, y)) fb_->FillSpan(y, x, x, color);
+    return;
+  }
+  const int64_t half = thickness / 2;
+  FillBlock(x - half, y - half, x + half, y + half, color);
 }
 
 void RasterSurface::DrawPoint(double x, double y, int thickness,
                               const draw::Color& color) {
-  Plot(x, y, std::max(1, thickness), color);
+  transform_.Apply(&x, &y);
+  PlotDevice(DeviceInt(x), DeviceInt(y), std::max(1, thickness), color);
 }
 
 void RasterSurface::DrawLine(double x1, double y1, double x2, double y2,
                              const draw::Style& style, const draw::Color& color) {
   transform_.Apply(&x1, &y1);
   transform_.Apply(&x2, &y2);
-  int ix1 = static_cast<int>(std::lround(x1));
-  int iy1 = static_cast<int>(std::lround(y1));
-  int ix2 = static_cast<int>(std::lround(x2));
-  int iy2 = static_cast<int>(std::lround(y2));
+  const int ix1 = DeviceInt(x1);
+  const int iy1 = DeviceInt(y1);
+  const int ix2 = DeviceInt(x2);
+  const int iy2 = DeviceInt(y2);
+
+  // Every plotted block lies inside the endpoints' bounding box grown by the
+  // pen's half-width; a line whose box misses the writable box draws nothing.
+  const int64_t half = style.thickness > 1 ? style.thickness / 2 : 0;
+  if (std::max(ix1, ix2) + half < box_.x0 || std::min(ix1, ix2) - half > box_.x1 ||
+      std::max(iy1, iy2) + half < box_.y0 || std::min(iy1, iy2) - half > box_.y1 ||
+      box_.empty()) {
+    return;
+  }
 
   int dx = std::abs(ix2 - ix1);
   int dy = -std::abs(iy2 - iy1);
@@ -92,15 +140,8 @@ void RasterSurface::DrawRect(double x, double y, double w, double h,
     transform_.Apply(&x1, &y1);
     if (x1 < x0) std::swap(x0, x1);
     if (y1 < y0) std::swap(y0, y1);
-    int ix0 = static_cast<int>(std::lround(x0));
-    int iy0 = static_cast<int>(std::lround(y0));
-    int ix1 = static_cast<int>(std::lround(x1));
-    int iy1 = static_cast<int>(std::lround(y1));
-    for (int py = iy0; py <= iy1; ++py) {
-      for (int px = ix0; px <= ix1; ++px) {
-        if (!transform_.Clipped(px, py)) fb_->Set(px, py, color);
-      }
-    }
+    FillBlock(DeviceInt(x0), DeviceInt(y0), DeviceInt(x1), DeviceInt(y1),
+              color);
     return;
   }
   DrawLine(x, y, x + w, y, style, color);
@@ -113,26 +154,32 @@ void RasterSurface::DrawCircle(double cx, double cy, double radius,
                                const draw::Style& style, const draw::Color& color) {
   transform_.Apply(&cx, &cy);
   double r = transform_.ApplyLength(radius);
-  int icx = static_cast<int>(std::lround(cx));
-  int icy = static_cast<int>(std::lround(cy));
-  int ir = static_cast<int>(std::lround(std::fabs(r)));
+  const int icx = DeviceInt(cx);
+  const int icy = DeviceInt(cy);
+  const int ir = std::max(0, DeviceInt(std::fabs(r)));
   if (ir == 0) {
     PlotDevice(icx, icy, style.thickness, color);
     return;
   }
   if (style.fill == draw::FillMode::kFilled) {
-    for (int dy = -ir; dy <= ir; ++dy) {
+    // Only the rows inside the box; each row's span is then cut to the box.
+    const int dy0 = std::max(-ir, box_.y0 - icy);
+    const int dy1 = std::min(ir, box_.y1 - icy);
+    for (int dy = dy0; dy <= dy1; ++dy) {
       int span = static_cast<int>(std::floor(std::sqrt(
           static_cast<double>(ir) * ir - static_cast<double>(dy) * dy)));
-      for (int dx = -span; dx <= span; ++dx) {
-        if (!transform_.Clipped(icx + dx, icy + dy)) {
-          fb_->Set(icx + dx, icy + dy, color);
-        }
-      }
+      FillBlock(icx - span, icy + dy, icx + span, icy + dy, color);
     }
     return;
   }
-  // Midpoint circle.
+  // Midpoint circle; every plotted block lies inside the circle's bounding
+  // box grown by the pen's half-width.
+  const int64_t half = style.thickness > 1 ? style.thickness / 2 : 0;
+  const int64_t reach = static_cast<int64_t>(ir) + half;
+  if (icx + reach < box_.x0 || icx - reach > box_.x1 || icy + reach < box_.y0 ||
+      icy - reach > box_.y1 || box_.empty()) {
+    return;
+  }
   int x = ir;
   int y = 0;
   int err = 1 - ir;
@@ -156,7 +203,8 @@ void RasterSurface::DrawPolygon(const std::vector<draw::Point>& points,
                                 const draw::Style& style, const draw::Color& color) {
   if (points.size() < 2) return;
   if (style.fill == draw::FillMode::kFilled && points.size() >= 3) {
-    // Transform vertices once, then even-odd scanline fill.
+    // Transform vertices once, then even-odd scanline fill over the rows of
+    // the writable box, each span cut to the box.
     std::vector<draw::Point> device;
     device.reserve(points.size());
     double min_y = 1e300;
@@ -169,11 +217,13 @@ void RasterSurface::DrawPolygon(const std::vector<draw::Point>& points,
       max_y = std::max(max_y, y);
       device.push_back(draw::Point{x, y});
     }
-    int iy0 = static_cast<int>(std::ceil(min_y));
-    int iy1 = static_cast<int>(std::floor(max_y));
+    int iy0 = box_.y0;
+    int iy1 = box_.y1;
+    NarrowRange(min_y, max_y, &iy0, &iy1);
+    std::vector<double> crossings;
     for (int py = iy0; py <= iy1; ++py) {
       double scan = py + 0.5;
-      std::vector<double> crossings;
+      crossings.clear();
       for (size_t i = 0; i < device.size(); ++i) {
         const draw::Point& a = device[i];
         const draw::Point& b = device[(i + 1) % device.size()];
@@ -184,11 +234,10 @@ void RasterSurface::DrawPolygon(const std::vector<draw::Point>& points,
       }
       std::sort(crossings.begin(), crossings.end());
       for (size_t i = 0; i + 1 < crossings.size(); i += 2) {
-        int px0 = static_cast<int>(std::ceil(crossings[i]));
-        int px1 = static_cast<int>(std::floor(crossings[i + 1]));
-        for (int px = px0; px <= px1; ++px) {
-          if (!transform_.Clipped(px, py)) fb_->Set(px, py, color);
-        }
+        int px0 = box_.x0;
+        int px1 = box_.x1;
+        NarrowRange(crossings[i], crossings[i + 1], &px0, &px1);
+        fb_->FillSpan(py, px0, px1, color);
       }
     }
     return;
@@ -206,24 +255,23 @@ void RasterSurface::DrawText(const std::string& text, double x, double y, double
   transform_.Apply(&x, &y);
   double h = transform_.ApplyLength(height);
   // Integral per-pixel scale keeps glyphs crisp; at least 1.
-  int scale = std::max(1, static_cast<int>(std::lround(h / kGlyphHeight)));
-  int origin_x = static_cast<int>(std::lround(x));
+  const int64_t scale = std::max(1, DeviceInt(h / kGlyphHeight));
+  const int64_t origin_x = DeviceInt(x);
   // (x, y) anchors the glyph box's bottom-left; rows render upward from it.
-  int origin_y = static_cast<int>(std::lround(y)) - kGlyphHeight * scale + scale;
+  const int64_t origin_y = DeviceInt(y) - kGlyphHeight * scale + scale;
+  if (origin_y > box_.y1 || origin_y + kGlyphHeight * scale <= box_.y0) return;
   for (size_t i = 0; i < text.size(); ++i) {
+    const int64_t gx = origin_x + static_cast<int64_t>(i) * kGlyphAdvance * scale;
+    if (gx > box_.x1) break;  // this and every later glyph start right of the box
+    if (gx + kGlyphWidth * scale <= box_.x0) continue;
     const std::array<uint8_t, 7>& glyph = GlyphFor(text[i]);
-    int gx = origin_x + static_cast<int>(i) * kGlyphAdvance * scale;
     for (int row = 0; row < kGlyphHeight; ++row) {
       uint8_t bits = glyph[static_cast<size_t>(row)];
+      const int64_t cy = origin_y + row * scale;
       for (int col = 0; col < kGlyphWidth; ++col) {
         if ((bits & (1 << (4 - col))) == 0) continue;
-        for (int sy = 0; sy < scale; ++sy) {
-          for (int sx = 0; sx < scale; ++sx) {
-            int px = gx + col * scale + sx;
-            int py = origin_y + row * scale + sy;
-            if (!transform_.Clipped(px, py)) fb_->Set(px, py, color);
-          }
-        }
+        const int64_t cx = gx + col * scale;
+        FillBlock(cx, cy, cx + scale - 1, cy + scale - 1, color);
       }
     }
   }

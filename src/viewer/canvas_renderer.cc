@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <vector>
 
-#include "db/operators.h"
+#include "display/display_relation.h"
 #include "expr/batch.h"
 
 namespace tioga2::viewer {
@@ -48,51 +50,24 @@ bool ElevationVisible(const display::ElevationRange& range, const Camera& camera
 /// Visibility decision for one tuple; shared by rendering and hit-testing.
 enum class TupleVisibility { kVisible, kSliderCulled, kViewportCulled, kError };
 
-/// Per-relation location columns, precomputed once through the batch
-/// "method" path instead of per tuple. nullopt means the batch evaluation
-/// failed for some attribute; callers then use the per-row LocationOf path,
-/// which reproduces the scalar per-tuple error accounting.
-std::optional<std::vector<std::vector<types::Value>>> BatchLocations(
-    const display::DisplayRelation& relation, const db::ExecPolicy& policy) {
-  if (!policy.vectorized) return std::nullopt;
-  std::vector<std::vector<types::Value>> columns;
-  columns.reserve(relation.location_names().size());
-  for (const std::string& name : relation.location_names()) {
-    Result<std::vector<types::Value>> column = relation.AttributeValues(name, policy);
-    if (!column.ok()) {
-      ++expr::BatchMetrics::Global().render_scalar_fallbacks;
-      return std::nullopt;
-    }
-    columns.push_back(std::move(column).value());
-  }
-  ++expr::BatchMetrics::Global().render_location_batches;
-  return columns;
+/// Whether a display list with bounds `list_bounds`, drawn at world (x, y),
+/// overlaps the visible world rectangle.
+bool InView(draw::BBox list_bounds, double x, double y, const draw::BBox& visible) {
+  list_bounds.min_x += x;
+  list_bounds.max_x += x;
+  list_bounds.min_y += y;
+  list_bounds.max_y += y;
+  return list_bounds.Intersects(visible);
 }
 
 TupleVisibility ClassifyTuple(const display::DisplayRelation& relation,
                               const CompositeEntry& entry, const Camera& camera,
                               size_t row, std::vector<double>* location_out,
-                              draw::DrawableList* display_out,
-                              const std::vector<std::vector<types::Value>>*
-                                  location_columns = nullptr) {
+                              draw::DrawableList* display_out) {
+  Result<std::vector<double>> location = relation.LocationOf(row);
+  if (!location.ok()) return TupleVisibility::kError;
   std::vector<double>& loc = *location_out;
-  if (location_columns != nullptr) {
-    loc.clear();
-    loc.reserve(location_columns->size());
-    for (const std::vector<types::Value>& column : *location_columns) {
-      const types::Value& v = column[row];
-      // Same per-tuple conditions LocationOf rejects: null or non-numeric
-      // location values are tuple errors.
-      if (v.is_null() || (!v.is_int() && !v.is_float())) {
-        return TupleVisibility::kError;
-      }
-      loc.push_back(v.AsDouble());
-    }
-  } else {
-    Result<std::vector<double>> location = relation.LocationOf(row);
-    if (!location.ok()) return TupleVisibility::kError;
-    loc = std::move(location).value();
-  }
+  loc = std::move(location).value();
   for (size_t d = 0; d < loc.size(); ++d) loc[d] += entry.OffsetAt(d);
   for (size_t d = 2; d < loc.size(); ++d) {
     if (!camera.SliderAccepts(d, loc[d])) return TupleVisibility::kSliderCulled;
@@ -100,12 +75,8 @@ TupleVisibility ClassifyTuple(const display::DisplayRelation& relation,
   Result<draw::DrawableList> displayed = relation.DisplayOf(row);
   if (!displayed.ok()) return TupleVisibility::kError;
   *display_out = std::move(displayed).value();
-  draw::BBox bounds = draw::DrawableListBounds(*display_out);
-  bounds.min_x += loc[0];
-  bounds.max_x += loc[0];
-  bounds.min_y += loc[1];
-  bounds.max_y += loc[1];
-  if (!bounds.Intersects(camera.VisibleWorld())) {
+  if (!InView(draw::DrawableListBounds(*display_out), loc[0], loc[1],
+              camera.VisibleWorld())) {
     return TupleVisibility::kViewportCulled;
   }
   return TupleVisibility::kVisible;
@@ -233,6 +204,176 @@ Status RenderDrawable(const draw::Drawable& drawable, double wx, double wy,
   return Status::Internal("unhandled drawable kind");
 }
 
+/// Draws one visible tuple's display list at world (x, y).
+Status DrawTuple(const draw::DrawableList& list, double x, double y,
+                 const Projector& projector, render::Surface* surface,
+                 const RenderOptions& options, RenderStats* stats) {
+  TIOGA2_RETURN_IF_ERROR(
+      RenderDisplayList(list, x, y, projector, surface, options, stats));
+  if (list != nullptr && !list->empty()) ++stats->tuples_drawn;
+  return Status::OK();
+}
+
+/// The per-row render loop over rows [begin, end) of `entry`: LocationOf and
+/// DisplayOf for every tuple, each drawn as soon as it classifies visible.
+/// This is the scalar policy's path and the oracle for RenderSlices.
+Status RenderRows(const CompositeEntry& entry, const Camera& camera, size_t begin,
+                  size_t end, const Projector& projector, render::Surface* surface,
+                  const RenderOptions& options, RenderStats* stats) {
+  std::vector<double> location;
+  draw::DrawableList display_list;
+  for (size_t row = begin; row < end; ++row) {
+    switch (ClassifyTuple(entry.relation, entry, camera, row, &location, &display_list)) {
+      case TupleVisibility::kError:
+        ++stats->tuple_errors;
+        continue;
+      case TupleVisibility::kSliderCulled:
+        ++stats->tuples_culled_slider;
+        continue;
+      case TupleVisibility::kViewportCulled:
+        ++stats->tuples_culled_viewport;
+        continue;
+      case TupleVisibility::kVisible:
+        break;
+    }
+    TIOGA2_RETURN_IF_ERROR(DrawTuple(display_list, location[0], location[1], projector,
+                                     surface, options, stats));
+  }
+  return Status::OK();
+}
+
+/// Element i of a batch display vector as DisplayOf returns it, a null value
+/// as `empty`; nullptr where DisplayOf fails (a non-display value). The
+/// result points into `displays` or `empty`, or into `*gathered`, which
+/// receives the element when `displays` is neither constant nor boxed.
+const draw::DrawableList* DisplayAt(const expr::Vec& displays, size_t i,
+                                    const draw::DrawableList& empty,
+                                    types::Value* gathered) {
+  const types::Value* value = gathered;
+  if (displays.rep == expr::Vec::Rep::kConst) {
+    value = &displays.cval;
+  } else if (displays.is_boxed()) {
+    value = &displays.boxed[i];
+  } else {
+    *gathered = displays.ValueAt(i);
+  }
+  if (value->is_null()) return &empty;
+  if (!value->is_display()) return nullptr;
+  return &value->display_value();
+}
+
+/// The batch-at-a-time render loop over one relation, used under a
+/// vectorized policy. For each expr::kBatchSize slice of rows it evaluates
+/// the location attributes into doubles with a validity mask, applies the
+/// composite offsets and sliders, evaluates the active display over the
+/// surviving rows, then culls and draws those rows in row order. Displays
+/// without a batch form are taken per row at draw time. A slice whose batch
+/// evaluation fails renders through RenderRows instead, so the pixels and
+/// RenderStats always equal the per-row path's. Nothing boxed outlives a
+/// slice.
+Status RenderSlices(const CompositeEntry& entry, const Camera& camera,
+                    const db::ExecPolicy& policy, const Projector& projector,
+                    render::Surface* surface, const RenderOptions& options,
+                    RenderStats* stats) {
+  const display::DisplayRelation& relation = entry.relation;
+  const size_t num_rows = relation.num_rows();
+  const size_t dims = relation.Dimension();
+  display::SliceEvaluator evaluator(relation, policy);
+  const bool batch_display = evaluator.DisplayBatchable();
+  const draw::BBox visible = camera.VisibleWorld();
+  const draw::DrawableList empty = draw::MakeDrawableList({});
+  std::vector<double> offsets(dims);
+  for (size_t d = 0; d < dims; ++d) offsets[d] = entry.OffsetAt(d);
+  expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
+
+  expr::Selection rows;
+  expr::Selection live;  // rows that pass the location checks and sliders
+  std::vector<std::vector<double>> location(dims);
+  std::vector<uint8_t> valid;
+  std::optional<expr::Vec> displays;
+  for (size_t begin = 0; begin < num_rows; begin += expr::kBatchSize) {
+    const size_t end = std::min(begin + expr::kBatchSize, num_rows);
+    expr::IdentitySelection(begin, end, &rows);
+    valid.assign(rows.size(), 1);
+    Status evaluated = Status::OK();
+    for (size_t d = 0; d < dims && evaluated.ok(); ++d) {
+      evaluated = evaluator.Location(d, rows, &location[d], &valid);
+    }
+    // Counted here, committed only once the whole slice has evaluated.
+    RenderStats slice;
+    live.clear();
+    if (evaluated.ok()) {
+      for (size_t k = 0; k < rows.size(); ++k) {
+        if (valid[k] == 0) {
+          ++slice.tuple_errors;
+          continue;
+        }
+        for (size_t d = 0; d < dims; ++d) location[d][k] += offsets[d];
+        bool accepted = true;
+        for (size_t d = 2; d < dims && accepted; ++d) {
+          accepted = camera.SliderAccepts(d, location[d][k]);
+        }
+        if (!accepted) {
+          ++slice.tuples_culled_slider;
+          continue;
+        }
+        live.push_back(rows[k]);
+      }
+    }
+    displays.reset();
+    if (evaluated.ok() && batch_display && !live.empty()) {
+      Result<expr::Vec> batch = evaluator.Displays(live);
+      evaluated = batch.status();
+      if (batch.ok()) displays = std::move(batch).value();
+    }
+    if (!evaluated.ok()) {
+      ++metrics.render_scalar_fallbacks;
+      TIOGA2_RETURN_IF_ERROR(
+          RenderRows(entry, camera, begin, end, projector, surface, options, stats));
+      continue;
+    }
+    ++metrics.render_location_batches;
+    *stats += slice;
+
+    // Rows sharing one display list (a constant display) share its bounds.
+    // `bounded` is only compared while the list it names is still held.
+    types::Value gathered;
+    draw::DrawableList per_row;
+    const std::vector<draw::Drawable>* bounded = nullptr;
+    draw::BBox bounds;
+    for (size_t i = 0; i < live.size(); ++i) {
+      const size_t row = live[i];
+      const draw::DrawableList* list = &per_row;
+      if (displays.has_value()) {
+        list = DisplayAt(*displays, i, empty, &gathered);
+      } else {
+        Result<draw::DrawableList> displayed = relation.DisplayOf(row);
+        if (displayed.ok()) {
+          per_row = std::move(displayed).value();
+        } else {
+          list = nullptr;
+        }
+      }
+      if (list == nullptr) {
+        ++stats->tuple_errors;
+        continue;
+      }
+      if (list->get() != bounded || bounded == nullptr) {
+        bounds = draw::DrawableListBounds(*list);
+        bounded = list->get();
+      }
+      const double x = location[0][row - begin];
+      const double y = location[1][row - begin];
+      if (!InView(bounds, x, y, visible)) {
+        ++stats->tuples_culled_viewport;
+        continue;
+      }
+      TIOGA2_RETURN_IF_ERROR(DrawTuple(*list, x, y, projector, surface, options, stats));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<RenderStats> RenderComposite(const Composite& composite, const Camera& camera,
@@ -248,30 +389,12 @@ Result<RenderStats> RenderComposite(const Composite& composite, const Camera& ca
       continue;
     }
     stats.tuples_total += relation.num_rows();
-    std::optional<std::vector<std::vector<types::Value>>> location_columns =
-        BatchLocations(relation, policy);
-    const std::vector<std::vector<types::Value>>* columns =
-        location_columns.has_value() ? &*location_columns : nullptr;
-    for (size_t row = 0; row < relation.num_rows(); ++row) {
-      std::vector<double> location;
-      draw::DrawableList display_list;
-      switch (ClassifyTuple(relation, entry, camera, row, &location, &display_list,
-                            columns)) {
-        case TupleVisibility::kError:
-          ++stats.tuple_errors;
-          continue;
-        case TupleVisibility::kSliderCulled:
-          ++stats.tuples_culled_slider;
-          continue;
-        case TupleVisibility::kViewportCulled:
-          ++stats.tuples_culled_viewport;
-          continue;
-        case TupleVisibility::kVisible:
-          break;
-      }
-      TIOGA2_RETURN_IF_ERROR(RenderDisplayList(display_list, location[0], location[1],
-                                               projector, surface, options, &stats));
-      if (display_list != nullptr && !display_list->empty()) ++stats.tuples_drawn;
+    if (policy.vectorized) {
+      TIOGA2_RETURN_IF_ERROR(
+          RenderSlices(entry, camera, policy, projector, surface, options, &stats));
+    } else {
+      TIOGA2_RETURN_IF_ERROR(RenderRows(entry, camera, 0, relation.num_rows(), projector,
+                                        surface, options, &stats));
     }
   }
   return stats;

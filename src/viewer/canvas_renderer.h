@@ -27,6 +27,7 @@ struct RenderStats {
   size_t wormholes_rendered = 0;     // nested canvases drawn through viewers
 
   RenderStats& operator+=(const RenderStats& other);
+  friend bool operator==(const RenderStats& a, const RenderStats& b) = default;
 };
 
 /// Options for one render pass.
@@ -41,10 +42,11 @@ struct RenderOptions {
   /// Resolves wormhole destination canvases; may be null (wormholes are then
   /// drawn as frames).
   const CanvasRegistry* registry = nullptr;
-  /// Execution policy for batch location evaluation; unset resolves
-  /// db::DefaultExecPolicy() at render time. Both settings produce
-  /// bit-identical pixels; the policy only chooses between the vectorized
-  /// and scalar evaluation paths.
+  /// Execution policy for attribute evaluation; unset resolves
+  /// db::DefaultExecPolicy() at render time. A vectorized policy renders
+  /// batch-at-a-time (location and display attributes evaluated per slice
+  /// of rows), a scalar one per row. Both produce bit-identical pixels and
+  /// equal RenderStats.
   std::optional<db::ExecPolicy> policy;
 };
 

@@ -1,9 +1,15 @@
 // Tests for composite rendering: drawing order, elevation ranges (§6.1),
-// slider culling, wormhole rendering (§6.2), undersides (§6.3), hit testing.
+// slider culling, wormhole rendering (§6.2), undersides (§6.3), hit testing,
+// and the batch-at-a-time render loop against the per-row loop.
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "db/relation.h"
+#include "expr/batch.h"
 #include "render/framebuffer.h"
 #include "render/raster_surface.h"
 #include "viewer/canvas_renderer.h"
@@ -254,6 +260,135 @@ TEST_F(CanvasRendererTest, FindWormholeAtLocatesSpec) {
   EXPECT_DOUBLE_EQ(found->initial_x, 1);
   auto missed = FindWormholeAt(composite, DefaultCamera(), -5, -5).value();
   EXPECT_FALSE(missed.has_value());
+}
+
+// ---- The batch-at-a-time render loop against the per-row loop ----
+
+RenderOptions PolicyOptions(bool vectorized) {
+  db::ExecPolicy policy;
+  policy.vectorized = vectorized;
+  if (!vectorized) policy.simd = db::SimdLevel::kScalar;
+  RenderOptions options;
+  options.policy = policy;
+  return options;
+}
+
+/// Renders `composite` under both policies onto fresh framebuffers; expects
+/// identical pixels and returns {scalar, vectorized} stats.
+std::pair<RenderStats, RenderStats> RenderBothPolicies(const Composite& composite,
+                                                       const Camera& camera) {
+  render::Framebuffer scalar_fb(100, 100, draw::kWhite);
+  render::Framebuffer vector_fb(100, 100, draw::kWhite);
+  render::RasterSurface scalar_surface(&scalar_fb);
+  render::RasterSurface vector_surface(&vector_fb);
+  Result<RenderStats> scalar =
+      RenderComposite(composite, camera, &scalar_surface, PolicyOptions(false));
+  Result<RenderStats> vectorized =
+      RenderComposite(composite, camera, &vector_surface, PolicyOptions(true));
+  EXPECT_TRUE(scalar.ok()) << scalar.status().message();
+  EXPECT_TRUE(vectorized.ok()) << vectorized.status().message();
+  EXPECT_TRUE(scalar_fb.ToPpm() == vector_fb.ToPpm()) << "framebuffer bytes differ";
+  return {scalar.ok() ? scalar.value() : RenderStats{},
+          vectorized.ok() ? vectorized.value() : RenderStats{}};
+}
+
+// Three slices of expr::kBatchSize rows with failures on both sides of each
+// slice boundary:
+//   - null locations (stored x at rows 0 and 4096, computed y at the last
+//     row) are per-row errors the batch path records without falling back;
+//   - bad display colors (rows 4095 and last - 1) fail the slice's display
+//     batch, which then renders per row;
+//   - slider-culled rows with bad colors (rows 100 and 5000) never evaluate
+//     their display, so their slices stay batched.
+TEST_F(CanvasRendererTest, SliceBoundaryErrorsMatchPerRowStats) {
+  const size_t n = 2 * expr::kBatchSize + 123;
+  const size_t last = n - 1;
+  const std::set<size_t> null_x = {0, 4096};
+  const std::set<size_t> null_y = {last};
+  const std::set<size_t> bad_color = {0, 100, 4095, 5000, last - 1, last};
+  const std::set<size_t> off_slider = {100, 5000};
+  std::vector<db::Tuple> rows;
+  for (size_t r = 0; r < n; ++r) {
+    // Every 13th tuple sits far outside the view.
+    double x = r % 13 == 0 ? 1e6 : static_cast<double>(r % 97) - 48;
+    rows.push_back({null_x.count(r) > 0 ? Value::Null() : Value::Float(x),
+                    null_y.count(r) > 0 ? Value::Null()
+                                        : Value::Float(static_cast<double>(r % 89) - 44),
+                    Value::Float(off_slider.count(r) > 0 ? 50.0 : 5.0),
+                    Value::String(bad_color.count(r) > 0 ? "#zz" : "#1e46c8")});
+  }
+  auto base = MakeRelation({Column{"px", DataType::kFloat}, Column{"py", DataType::kFloat},
+                            Column{"alt", DataType::kFloat},
+                            Column{"color", DataType::kString}},
+                           std::move(rows))
+                  .value();
+  DisplayRelation rel = DisplayRelation::WithDefaults("boundaries", base)
+                            .value()
+                            .SetLocationAttribute(0, "px")
+                            .value()
+                            .AddAttribute("y", "py * 0.5")
+                            .value()
+                            .SetLocationAttribute(1, "y")
+                            .value()
+                            .AddLocationDimension("alt")
+                            .value()
+                            .AddAttribute("dot", "circle(1.5, color, true)")
+                            .value()
+                            .SetDisplayAttribute("dot")
+                            .value();
+  Camera camera(0, 0, 60, 100, 100);
+  camera.SetSlider(2, SliderRange{0, 10});
+
+  expr::BatchMetrics& metrics = expr::BatchMetrics::Global();
+  const uint64_t batches_before = metrics.render_location_batches;
+  const uint64_t fallbacks_before = metrics.render_scalar_fallbacks;
+  auto [scalar, vectorized] = RenderBothPolicies(Composite(rel), camera);
+  EXPECT_EQ(scalar, vectorized);
+  EXPECT_EQ(scalar.tuples_total, n);
+  // Rows 0, 4096, last (locations) and 4095, last - 1 (displays).
+  EXPECT_EQ(scalar.tuple_errors, 5u);
+  EXPECT_EQ(scalar.tuples_culled_slider, 2u);
+  EXPECT_GT(scalar.tuples_culled_viewport, 0u);
+  EXPECT_GT(scalar.tuples_drawn, 0u);
+  // Slices 0 and 2 hold a display error and fall back; slice 1 stays batched.
+  EXPECT_EQ(metrics.render_location_batches - batches_before, 1u);
+  EXPECT_EQ(metrics.render_scalar_fallbacks - fallbacks_before, 2u);
+}
+
+// Displays without a batch form (the default text display, Combine
+// Displays) are taken per row at draw time inside the slice loop.
+TEST_F(CanvasRendererTest, DisplaysWithoutBatchFormMatchPerRowStats) {
+  std::vector<db::Tuple> rows;
+  const size_t n = expr::kBatchSize + 7;
+  for (size_t r = 0; r < n; ++r) {
+    rows.push_back({Value::Float(static_cast<double>(r % 50) - 25),
+                    r % 11 == 0 ? Value::Null() : Value::Float(static_cast<double>(r % 40) - 20),
+                    Value::String("t" + std::to_string(r))});
+  }
+  auto base = MakeRelation({Column{"px", DataType::kFloat}, Column{"py", DataType::kFloat},
+                            Column{"label", DataType::kString}},
+                           std::move(rows))
+                  .value();
+  DisplayRelation text = DisplayRelation::WithDefaults("text", base)
+                             .value()
+                             .SetLocationAttribute(0, "px")
+                             .value()
+                             .SetLocationAttribute(1, "py")
+                             .value();
+  DisplayRelation combined = text.AddAttribute("dot", "circle(0.5, \"#ff0000\", true)")
+                                 .value()
+                                 .CombineDisplays("both", "dot", "_display", 1, 0)
+                                 .value()
+                                 .SetDisplayAttribute("both")
+                                 .value();
+  Camera camera(0, 0, 30, 100, 100);
+  for (const DisplayRelation& rel : {text, combined}) {
+    SCOPED_TRACE(rel.display_name());
+    auto [scalar, vectorized] = RenderBothPolicies(Composite(rel), camera);
+    EXPECT_EQ(scalar, vectorized);
+    EXPECT_EQ(scalar.tuple_errors, (n + 10) / 11);
+    EXPECT_GT(scalar.tuples_drawn, 0u);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "display/display_relation.h"
+#include "expr/batch.h"
 
 namespace tioga2::display {
 namespace {
@@ -277,6 +278,73 @@ TEST(DisplayRelationTest, ToStringShowsComputedValues) {
   std::string text = Cities().AddAttribute("dbl", "pop * 2").value().ToString();
   EXPECT_NE(text.find("dbl"), std::string::npos);
   EXPECT_NE(text.find("994"), std::string::npos);
+}
+
+// SliceEvaluator, the renderer's ranged entry point, agrees with LocationOf
+// and AttributeValue row by row for every attribute source a location can
+// have (stored, scaled stored, the translated row-number default, plain and
+// translated expressions) over a selection that skips rows and hits nulls.
+TEST(DisplayRelationTest, SliceEvaluatorMatchesPerRowEvaluation) {
+  std::vector<db::Tuple> rows;
+  for (int r = 0; r < 7; ++r) {
+    rows.push_back({r == 2 ? Value::Null() : Value::Float(-90.5 + r),
+                    Value::Float(29.25 + 0.5 * r),
+                    r == 5 ? Value::Null() : Value::Int(100 + 10 * r)});
+  }
+  auto base = MakeRelation({Column{"lon", DataType::kFloat},
+                            Column{"lat", DataType::kFloat},
+                            Column{"pop", DataType::kInt}},
+                           std::move(rows))
+                  .value();
+  DisplayRelation plain = DisplayRelation::WithDefaults("slices", base)
+                              .value()
+                              .AddAttribute("d", "circle(float(pop), \"#ff0000\")")
+                              .value()
+                              .SetDisplayAttribute("d")
+                              .value();
+  DisplayRelation scaled = plain.ScaleAttribute("lon", 2.0)
+                               .value()
+                               .SetLocationAttribute(0, "lon")
+                               .value()
+                               .TranslateAttribute("_y", 3.0)
+                               .value();
+  DisplayRelation computed = plain.AddAttribute("px", "lon * 2.0 + 1.0")
+                                 .value()
+                                 .TranslateAttribute("px", 0.5)
+                                 .value()
+                                 .SetLocationAttribute(0, "px")
+                                 .value()
+                                 .SetLocationAttribute(1, "pop")
+                                 .value()
+                                 .AddLocationDimension("lat")
+                                 .value();
+  const expr::Selection sel = {0, 2, 3, 5, 6};
+  db::ExecPolicy policy;
+  policy.vectorized = true;
+  for (const DisplayRelation& rel : {scaled, computed}) {
+    SliceEvaluator evaluator(rel, policy);
+    std::vector<uint8_t> valid(sel.size(), 1);
+    std::vector<std::vector<double>> values(rel.Dimension());
+    for (size_t d = 0; d < rel.Dimension(); ++d) {
+      ASSERT_TRUE(evaluator.Location(d, sel, &values[d], &valid).ok());
+    }
+    ASSERT_TRUE(evaluator.DisplayBatchable());
+    auto displays = evaluator.Displays(sel);
+    ASSERT_TRUE(displays.ok()) << displays.status().message();
+    for (size_t k = 0; k < sel.size(); ++k) {
+      SCOPED_TRACE("row " + std::to_string(sel[k]));
+      auto location = rel.LocationOf(sel[k]);
+      ASSERT_EQ(location.ok(), valid[k] != 0);
+      for (size_t d = 0; location.ok() && d < rel.Dimension(); ++d) {
+        EXPECT_EQ(values[d][k], location.value()[d]);
+      }
+      EXPECT_EQ(displays.value().ValueAt(k).ToString(),
+                rel.AttributeValue(sel[k], "d").value().ToString());
+    }
+  }
+  // The default text display has no batch form.
+  EXPECT_FALSE(SliceEvaluator(DisplayRelation::WithDefaults("t", base).value(), policy)
+                   .DisplayBatchable());
 }
 
 }  // namespace

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "render/font.h"
 #include "render/framebuffer.h"
@@ -217,6 +222,270 @@ TEST_F(RasterTest, NestedViewportsCompose) {
   surface_.PopViewport();
   surface_.PopViewport();
   EXPECT_EQ(fb_.Get(25, 25), kBlack);
+}
+
+// ---- Clip-aware spans against a per-pixel reference ----
+//
+// RasterSurface fills only the part of each primitive inside the writable
+// pixel box (framebuffer bounds intersected with the clip). The reference
+// below is the per-pixel formulation: every pixel of the primitive is tested
+// against TransformStack::Clipped and written through the bounds-checked
+// Framebuffer::Set. Both must produce identical framebuffers.
+
+/// Per-pixel reference rasterizer over its own TransformStack, which the test
+/// pushes in step with the surface under test.
+class ReferenceRaster {
+ public:
+  explicit ReferenceRaster(Framebuffer* fb) : fb_(fb) {}
+
+  TransformStack& transform() { return transform_; }
+
+  void Plot(int x, int y, int thickness, const Color& color) {
+    int half = thickness <= 1 ? 0 : thickness / 2;
+    for (int dy = -half; dy <= half; ++dy) {
+      for (int dx = -half; dx <= half; ++dx) Pixel(x + dx, y + dy, color);
+    }
+  }
+
+  void Point(double x, double y, int thickness, const Color& color) {
+    transform_.Apply(&x, &y);
+    Plot(Round(x), Round(y), std::max(1, thickness), color);
+  }
+
+  void Line(double x1, double y1, double x2, double y2, const Style& style,
+            const Color& color) {
+    transform_.Apply(&x1, &y1);
+    transform_.Apply(&x2, &y2);
+    int ix1 = Round(x1), iy1 = Round(y1), ix2 = Round(x2), iy2 = Round(y2);
+    int dx = std::abs(ix2 - ix1), dy = -std::abs(iy2 - iy1);
+    int sx = ix1 < ix2 ? 1 : -1, sy = iy1 < iy2 ? 1 : -1;
+    int err = dx + dy, x = ix1, y = iy1;
+    for (int step = 0;; ++step) {
+      bool on = style.line == draw::LineStyle::kSolid ||
+                (style.line == draw::LineStyle::kDashed && (step / 4) % 2 == 0) ||
+                (style.line == draw::LineStyle::kDotted && step % 3 == 0);
+      if (on) Plot(x, y, style.thickness, color);
+      if (x == ix2 && y == iy2) break;
+      int e2 = 2 * err;
+      if (e2 >= dy) err += dy, x += sx;
+      if (e2 <= dx) err += dx, y += sy;
+    }
+  }
+
+  void FilledRect(double x, double y, double w, double h, const Color& color) {
+    double x0 = x, y0 = y, x1 = x + w, y1 = y + h;
+    transform_.Apply(&x0, &y0);
+    transform_.Apply(&x1, &y1);
+    if (x1 < x0) std::swap(x0, x1);
+    if (y1 < y0) std::swap(y0, y1);
+    for (int py = Round(y0); py <= Round(y1); ++py) {
+      for (int px = Round(x0); px <= Round(x1); ++px) Pixel(px, py, color);
+    }
+  }
+
+  void Circle(double cx, double cy, double radius, const Style& style, const Color& color) {
+    transform_.Apply(&cx, &cy);
+    int icx = Round(cx), icy = Round(cy);
+    int ir = Round(std::fabs(transform_.ApplyLength(radius)));
+    if (ir == 0) return Plot(icx, icy, style.thickness, color);
+    if (style.fill == FillMode::kFilled) {
+      for (int dy = -ir; dy <= ir; ++dy) {
+        int span = static_cast<int>(std::floor(std::sqrt(
+            static_cast<double>(ir) * ir - static_cast<double>(dy) * dy)));
+        for (int dx = -span; dx <= span; ++dx) Pixel(icx + dx, icy + dy, color);
+      }
+      return;
+    }
+    for (int x = ir, y = 0, err = 1 - ir; x >= y;) {
+      const int px[8] = {icx + x, icx - x, icx + x, icx - x, icx + y, icx - y, icx + y, icx - y};
+      const int py[8] = {icy + y, icy + y, icy - y, icy - y, icy + x, icy + x, icy - x, icy - x};
+      for (int i = 0; i < 8; ++i) Plot(px[i], py[i], style.thickness, color);
+      ++y;
+      if (err < 0) {
+        err += 2 * y + 1;
+      } else {
+        --x;
+        err += 2 * (y - x) + 1;
+      }
+    }
+  }
+
+  void FilledPolygon(std::vector<draw::Point> points, const Color& color) {
+    double min_y = 1e300, max_y = -1e300;
+    for (draw::Point& p : points) {
+      transform_.Apply(&p.x, &p.y);
+      min_y = std::min(min_y, p.y);
+      max_y = std::max(max_y, p.y);
+    }
+    for (int py = static_cast<int>(std::ceil(min_y)); py <= static_cast<int>(std::floor(max_y));
+         ++py) {
+      double scan = py + 0.5;
+      std::vector<double> crossings;
+      for (size_t i = 0; i < points.size(); ++i) {
+        const draw::Point& a = points[i];
+        const draw::Point& b = points[(i + 1) % points.size()];
+        if ((a.y <= scan && b.y > scan) || (b.y <= scan && a.y > scan)) {
+          crossings.push_back(a.x + (scan - a.y) / (b.y - a.y) * (b.x - a.x));
+        }
+      }
+      std::sort(crossings.begin(), crossings.end());
+      for (size_t i = 0; i + 1 < crossings.size(); i += 2) {
+        for (int px = static_cast<int>(std::ceil(crossings[i]));
+             px <= static_cast<int>(std::floor(crossings[i + 1])); ++px) {
+          Pixel(px, py, color);
+        }
+      }
+    }
+  }
+
+  void Text(const std::string& text, double x, double y, double height, const Color& color) {
+    transform_.Apply(&x, &y);
+    int scale = std::max(1, Round(transform_.ApplyLength(height) / kGlyphHeight));
+    int origin_x = Round(x);
+    int origin_y = Round(y) - kGlyphHeight * scale + scale;
+    for (size_t i = 0; i < text.size(); ++i) {
+      const std::array<uint8_t, 7>& glyph = GlyphFor(text[i]);
+      int gx = origin_x + static_cast<int>(i) * kGlyphAdvance * scale;
+      for (int row = 0; row < kGlyphHeight; ++row) {
+        for (int col = 0; col < kGlyphWidth; ++col) {
+          if ((glyph[static_cast<size_t>(row)] & (1 << (4 - col))) == 0) continue;
+          for (int sy = 0; sy < scale; ++sy) {
+            for (int sx = 0; sx < scale; ++sx) {
+              Pixel(gx + col * scale + sx, origin_y + row * scale + sy, color);
+            }
+          }
+        }
+      }
+    }
+  }
+
+ private:
+  static int Round(double v) { return static_cast<int>(std::lround(v)); }
+
+  void Pixel(int x, int y, const Color& color) {
+    if (!transform_.Clipped(x, y)) fb_->Set(x, y, color);
+  }
+
+  Framebuffer* fb_;
+  TransformStack transform_;
+};
+
+/// One primitive drawn both ways.
+struct Primitive {
+  std::string name;
+  std::function<void(RasterSurface*)> draw;
+  std::function<void(ReferenceRaster*)> reference;
+};
+
+/// Primitives straddling every edge of a 64x48 framebuffer (and of the
+/// clips below), in the current frame's coordinates.
+std::vector<Primitive> EdgePrimitives() {
+  std::vector<Primitive> out;
+  Style filled;
+  filled.fill = FillMode::kFilled;
+  Style outline;
+  Style thick;
+  thick.thickness = 3;
+  Style dashed;
+  dashed.line = draw::LineStyle::kDashed;
+  dashed.thickness = 2;
+  const Color ink{20, 120, 220};
+  const std::vector<std::pair<double, double>> anchors = {
+      {-3.4, 20.2}, {62.6, 21.5}, {30.3, -2.6}, {31.5, 46.7}, {-1.5, -1.5},
+      {63.5, 47.5}, {10.5, 99.5}, {-12.25, 30.75}, {31.0, 23.0}};
+  for (auto [x, y] : anchors) {
+    const std::string at = "(" + std::to_string(x) + "," + std::to_string(y) + ")";
+    out.push_back({"rect" + at,
+                   [=](RasterSurface* s) { s->DrawRect(x, y, 9.6, -7.3, filled, ink); },
+                   [=](ReferenceRaster* r) { r->FilledRect(x, y, 9.6, -7.3, ink); }});
+    for (double radius : {0.3, 4.6, 13.2}) {
+      out.push_back({"disc" + at,
+                     [=](RasterSurface* s) { s->DrawCircle(x, y, radius, filled, ink); },
+                     [=](ReferenceRaster* r) { r->Circle(x, y, radius, filled, ink); }});
+      out.push_back({"ring" + at,
+                     [=](RasterSurface* s) { s->DrawCircle(x, y, radius, thick, ink); },
+                     [=](ReferenceRaster* r) { r->Circle(x, y, radius, thick, ink); }});
+    }
+    std::vector<draw::Point> poly = {
+        {x - 6, y - 5}, {x + 9, y - 2}, {x + 1, y}, {x + 7, y + 8}, {x - 4, y + 6}};
+    out.push_back({"polygon" + at,
+                   [=](RasterSurface* s) { s->DrawPolygon(poly, filled, ink); },
+                   [=](ReferenceRaster* r) { r->FilledPolygon(poly, ink); }});
+    for (double height : {7.0, 40.0 * 7.0}) {
+      out.push_back({"text" + at,
+                     [=](RasterSurface* s) { s->DrawText("Ag|#", x, y, height, ink); },
+                     [=](ReferenceRaster* r) { r->Text("Ag|#", x, y, height, ink); }});
+    }
+    for (int thickness : {1, 2, 3, 6}) {
+      out.push_back({"point" + at,
+                     [=](RasterSurface* s) { s->DrawPoint(x, y, thickness, ink); },
+                     [=](ReferenceRaster* r) { r->Point(x, y, thickness, ink); }});
+    }
+    out.push_back({"line" + at,
+                   [=](RasterSurface* s) { s->DrawLine(x, y, 70 - x, 50 - y, dashed, ink); },
+                   [=](ReferenceRaster* r) { r->Line(x, y, 70 - x, 50 - y, dashed, ink); }});
+  }
+  return out;
+}
+
+/// A clip configuration applied to both the surface and the reference.
+struct ClipSetup {
+  std::string name;
+  std::function<void(Surface*)> push;
+  std::function<void(TransformStack*)> push_reference;
+  int depth = 0;
+};
+
+TEST(RasterClipTest, SpansMatchPerPixelReference) {
+  std::vector<ClipSetup> setups;
+  setups.push_back({"framebuffer only", [](Surface*) {}, [](TransformStack*) {}, 0});
+  setups.push_back({"clip 10.5/99.5",
+                    [](Surface* s) { s->PushClip(DeviceRect{10.5, 5.25, 99.5, 99.5}); },
+                    [](TransformStack* t) { t->PushClip(DeviceRect{10.5, 5.25, 99.5, 99.5}); },
+                    1});
+  setups.push_back(
+      {"viewport + clip, negative",
+       [](Surface* s) {
+         s->PushViewport(DeviceRect{-10.5, -6.5, 70.25, 50.75}, 60, 40);
+         s->PushClip(DeviceRect{-3.5, 2.5, 50.5, 40.25});
+       },
+       [](TransformStack* t) {
+         t->Push(DeviceRect{-10.5, -6.5, 70.25, 50.75}, 60, 40);
+         t->PushClip(DeviceRect{-3.5, 2.5, 50.5, 40.25});
+       },
+       2});
+  setups.push_back(
+      {"nested viewports + clip",
+       [](Surface* s) {
+         s->PushViewport(DeviceRect{4.5, 3.5, 50, 36}, 64, 48);
+         s->PushViewport(DeviceRect{10.5, -8.5, 99.5, 99.5}, 120, 90);
+         s->PushClip(DeviceRect{-20.5, 10.5, 99.5, 60.5});
+       },
+       [](TransformStack* t) {
+         t->Push(DeviceRect{4.5, 3.5, 50, 36}, 64, 48);
+         t->Push(DeviceRect{10.5, -8.5, 99.5, 99.5}, 120, 90);
+         t->PushClip(DeviceRect{-20.5, 10.5, 99.5, 60.5});
+       },
+       3});
+  setups.push_back({"clip off screen",
+                    [](Surface* s) { s->PushClip(DeviceRect{70.5, -30, 10, 10}); },
+                    [](TransformStack* t) { t->PushClip(DeviceRect{70.5, -30, 10, 10}); }, 1});
+
+  for (const ClipSetup& setup : setups) {
+    SCOPED_TRACE(setup.name);
+    for (const Primitive& primitive : EdgePrimitives()) {
+      Framebuffer actual(64, 48, kWhite);
+      Framebuffer expected(64, 48, kWhite);
+      RasterSurface surface(&actual);
+      ReferenceRaster reference(&expected);
+      setup.push(&surface);
+      setup.push_reference(&reference.transform());
+      primitive.draw(&surface);
+      primitive.reference(&reference);
+      for (int i = 0; i < setup.depth; ++i) surface.PopViewport();
+      ASSERT_TRUE(actual.ToPpm() == expected.ToPpm()) << primitive.name;
+    }
+  }
 }
 
 TEST(SvgTest, DocumentStructure) {

@@ -1,12 +1,21 @@
 // Tests for the Viewer: navigation, wormhole fly-through with travel
 // history and rear view mirrors (§6.2, §6.3), slaving (§7.1), magnifying
-// glasses (§7.2), and group member cameras (§2).
+// glasses (§7.2), and group member cameras (§2). The last section renders
+// every figure program under the scalar and the vectorized policy and
+// requires identical framebuffer bytes and RenderStats.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "db/relation.h"
 #include "render/framebuffer.h"
 #include "render/raster_surface.h"
+#include "testing/fig_programs.h"
+#include "tioga2/environment.h"
 #include "viewer/viewer.h"
 
 namespace tioga2::viewer {
@@ -330,6 +339,229 @@ TEST_F(ViewerTest, FitContentCoversData) {
   Viewer viewer("v", "away", &registry_);
   ASSERT_TRUE(viewer.FitContent(100, 100).ok());
   EXPECT_TRUE(viewer.camera().VisibleWorld().Contains(7, 8));
+}
+
+// ---- Scalar and vectorized renders agree on every figure program ----
+//
+// The scalar policy renders per row (LocationOf / DisplayOf per tuple); a
+// vectorized policy renders batch-at-a-time. The per-row path is the oracle:
+// framebuffer bytes and RenderStats must match it exactly.
+
+constexpr int kFigW = 320;
+constexpr int kFigH = 240;
+
+RenderOptions PolicyOptions(bool vectorized) {
+  db::ExecPolicy policy;
+  policy.vectorized = vectorized;
+  if (!vectorized) policy.simd = db::SimdLevel::kScalar;
+  RenderOptions options;
+  options.policy = policy;
+  return options;
+}
+
+struct Frame {
+  std::string pixels;
+  RenderStats stats;
+  size_t ink = 0;  // pixels not left white
+};
+
+Frame RenderFrame(const Viewer& viewer, bool vectorized) {
+  render::Framebuffer fb(kFigW, kFigH, draw::kWhite);
+  render::RasterSurface surface(&fb);
+  Result<RenderStats> stats = viewer.RenderTo(&surface, PolicyOptions(vectorized));
+  EXPECT_TRUE(stats.ok()) << stats.status().message();
+  return Frame{fb.ToPpm(), stats.ok() ? stats.value() : RenderStats{},
+               fb.CountPixelsNotEqual(draw::kWhite)};
+}
+
+/// Renders `viewer` under both policies, expects identical bytes and stats,
+/// and returns the vectorized frame.
+Frame ExpectPoliciesAgree(const Viewer& viewer, const std::string& what) {
+  SCOPED_TRACE(what);
+  Frame scalar = RenderFrame(viewer, false);
+  Frame vectorized = RenderFrame(viewer, true);
+  EXPECT_TRUE(scalar.pixels == vectorized.pixels) << "framebuffer bytes differ";
+  EXPECT_EQ(scalar.stats, vectorized.stats);
+  return vectorized;
+}
+
+std::unique_ptr<Environment> BuildFigEnv(const testing::FigProgram& program) {
+  auto env = std::make_unique<Environment>();
+  EXPECT_TRUE(env->LoadDemoData(program.extra_stations, program.num_days).ok());
+  Status built = program.build(env.get());
+  EXPECT_TRUE(built.ok()) << program.name << ": " << built.message();
+  return env;
+}
+
+const testing::FigProgram& FigProgramNamed(const std::vector<testing::FigProgram>& all,
+                                           const std::string& name) {
+  for (const testing::FigProgram& program : all) {
+    if (program.name == name) return program;
+  }
+  ADD_FAILURE() << "no figure program " << name;
+  return all.front();
+}
+
+/// One camera per member, all moved the same way from the fitted cameras.
+struct CameraVariant {
+  std::string name;
+  std::vector<Camera> cameras;
+};
+
+/// The camera set: fitted; zoomed x0.4, x1.7 and x16; panned past each edge
+/// by a seeded 0.6-0.9 of the view; and a slider on location dimension 2
+/// (fig04's altitude), which only 3-D members observe.
+std::vector<CameraVariant> CameraSet(const std::vector<Camera>& fitted, Rng* rng) {
+  std::vector<CameraVariant> set;
+  auto add = [&](std::string name, auto&& move) {
+    CameraVariant variant{std::move(name), fitted};
+    for (Camera& camera : variant.cameras) move(&camera);
+    set.push_back(std::move(variant));
+  };
+  add("fitted", [](Camera*) {});
+  for (double factor : {0.4, 1.7, 16.0}) {
+    add("zoom x" + std::to_string(factor), [factor](Camera* c) { c->Zoom(factor); });
+  }
+  const double f = rng->Uniform(0.6, 0.9);
+  const struct {
+    const char* name;
+    double dx, dy;
+  } pans[] = {{"pan left", -f, 0}, {"pan right", f, 0}, {"pan down", 0, -f}, {"pan up", 0, f}};
+  for (const auto& pan : pans) {
+    add(pan.name, [&pan](Camera* c) {
+      draw::BBox view = c->VisibleWorld();
+      c->Pan(pan.dx * view.Width(), pan.dy * view.Height());
+    });
+  }
+  add("slider", [](Camera* c) { c->SetSlider(2, SliderRange{0, 50}); });
+  return set;
+}
+
+std::vector<Camera> CamerasOf(const Viewer& viewer) {
+  std::vector<Camera> cameras;
+  for (size_t m = 0; m < viewer.num_members(); ++m) cameras.push_back(viewer.camera_of(m));
+  return cameras;
+}
+
+void SetCameras(Viewer* viewer, const std::vector<Camera>& cameras) {
+  for (size_t m = 0; m < cameras.size(); ++m) *viewer->mutable_camera_of(m) = cameras[m];
+}
+
+TEST(RenderPolicyIdentityTest, EveryFigureUnderTheCameraSet) {
+  Rng rng(0x7469'6f67'6132ULL);
+  size_t fig8_wormholes = 0;
+  size_t slider_culled = 0;
+  for (const testing::FigProgram& program : testing::AllFigPrograms()) {
+    SCOPED_TRACE(program.name);
+    std::unique_ptr<Environment> env = BuildFigEnv(program);
+    for (const std::string& canvas : program.canvases) {
+      Result<Viewer*> viewer = env->GetViewer(canvas);
+      ASSERT_TRUE(viewer.ok()) << viewer.status().message();
+      ASSERT_TRUE(viewer.value()->FitContent(kFigW, kFigH).ok());
+      for (const CameraVariant& variant : CameraSet(CamerasOf(*viewer.value()), &rng)) {
+        SetCameras(viewer.value(), variant.cameras);
+        Frame frame = ExpectPoliciesAgree(*viewer.value(), canvas + " " + variant.name);
+        if (canvas == "fig8") fig8_wormholes += frame.stats.wormholes_rendered;
+        slider_culled += frame.stats.tuples_culled_slider;
+      }
+    }
+  }
+  // fig08 draws its temperature canvas through nested wormhole viewports.
+  EXPECT_GT(fig8_wormholes, 0u);
+  EXPECT_GT(slider_culled, 0u);
+}
+
+TEST(RenderPolicyIdentityTest, MagnifyingGlassWithDisplaySwitch) {
+  std::vector<testing::FigProgram> all = testing::AllFigPrograms();
+  std::unique_ptr<Environment> env = BuildFigEnv(FigProgramNamed(all, "fig09"));
+  Result<Viewer*> viewer = env->GetViewer("fig9");
+  ASSERT_TRUE(viewer.ok()) << viewer.status().message();
+  ASSERT_TRUE(viewer.value()->FitContent(kFigW, kFigH).ok());
+  Frame plain = ExpectPoliciesAgree(*viewer.value(), "no glass");
+  MagnifyingGlass glass;
+  glass.rect = render::DeviceRect{80.5, 60.5, 160, 120};
+  glass.zoom = 3.0;
+  glass.display_attribute = "precip_d";
+  viewer.value()->AddMagnifyingGlass(glass);
+  Frame magnified = ExpectPoliciesAgree(*viewer.value(), "precipitation glass");
+  EXPECT_FALSE(plain.pixels == magnified.pixels);
+}
+
+TEST(RenderPolicyIdentityTest, DeltaRepaintUnderADirtyRectClip) {
+  std::vector<testing::FigProgram> all = testing::AllFigPrograms();
+  std::unique_ptr<Environment> env = BuildFigEnv(FigProgramNamed(all, "fig04"));
+  Result<Viewer*> viewer = env->GetViewer("fig4");
+  ASSERT_TRUE(viewer.ok()) << viewer.status().message();
+  ASSERT_TRUE(viewer.value()->FitContent(kFigW, kFigH).ok());
+  // Both viewers hold the pre-edit content; each renders under one policy.
+  std::unique_ptr<Viewer> twin = viewer.value()->CloneView("twin");
+  Viewer* viewers[2] = {viewer.value(), twin.get()};
+  render::Framebuffer fbs[2] = {render::Framebuffer(kFigW, kFigH, draw::kWhite),
+                                render::Framebuffer(kFigW, kFigH, draw::kWhite)};
+  std::vector<render::RasterSurface> surfaces = {render::RasterSurface(&fbs[0]),
+                                                 render::RasterSurface(&fbs[1])};
+  for (int p = 0; p < 2; ++p) {
+    ASSERT_TRUE(viewers[p]->RenderTo(&surfaces[p], PolicyOptions(p == 1)).ok());
+  }
+  ASSERT_TRUE(fbs[0].ToPpm() == fbs[1].ToPpm());
+
+  // Click New Orleans and move it north: its dot's old and new footprints
+  // are the dirty rectangle.
+  double dx = 0;
+  double dy = 0;
+  viewer.value()->camera().WorldToDevice(-90.08, 29.95, &dx, &dy);
+  Result<std::optional<Hit>> hit = viewer.value()->HitTestAt(&surfaces[0], dx, dy);
+  ASSERT_TRUE(hit.ok() && hit.value().has_value());
+  ASSERT_TRUE(env->session()
+                  .ClickUpdate("fig4", *hit.value(), "Stations", {{"latitude", "30.05"}})
+                  .ok());
+  const dataflow::ValueDelta* delta = env->session().LastCanvasDelta("fig4");
+  ASSERT_NE(delta, nullptr);
+
+  // A marker far from the edit: a full repaint would erase it, a repaint
+  // clipped to the dirty rectangle leaves it.
+  const draw::Color marker{255, 0, 255};
+  RenderStats stats[2];
+  for (int p = 0; p < 2; ++p) {
+    fbs[p].Set(0, 0, marker);
+    Result<RenderStats> repaint =
+        viewers[p]->RenderDeltaTo(&surfaces[p], *delta, draw::kWhite, PolicyOptions(p == 1));
+    ASSERT_TRUE(repaint.ok()) << repaint.status().message();
+    stats[p] = repaint.value();
+    EXPECT_EQ(fbs[p].Get(0, 0), marker);
+  }
+  EXPECT_TRUE(fbs[0].ToPpm() == fbs[1].ToPpm());
+  EXPECT_EQ(stats[0], stats[1]);
+  EXPECT_GT(stats[1].tuples_drawn, 0u);
+}
+
+// Deep zoom bounds the rasterizer's work by the framebuffer, not the zoom:
+// fig01 and fig07 render at Zoom(1e4) and at the minimum elevation, where
+// device coordinates and glyph scales would overflow int unsaturated. Each
+// view is centred on ink: fig01's fitted centre falls on a text row, and
+// fig07 centres on a station dot of its topmost (labels) relation.
+TEST(RenderPolicyIdentityTest, DeepZoomStaysBounded) {
+  std::vector<testing::FigProgram> all = testing::AllFigPrograms();
+  for (const char* name : {"fig01", "fig07"}) {
+    const testing::FigProgram& program = FigProgramNamed(all, name);
+    SCOPED_TRACE(program.name);
+    std::unique_ptr<Environment> env = BuildFigEnv(program);
+    Result<Viewer*> viewer = env->GetViewer(program.canvases[0]);
+    ASSERT_TRUE(viewer.ok()) << viewer.status().message();
+    ASSERT_TRUE(viewer.value()->FitContent(kFigW, kFigH).ok());
+    if (program.name == "fig07") {
+      const display::CompositeEntry& top =
+          viewer.value()->content().members()[0].entries().back();
+      Result<std::vector<double>> location = top.relation.LocationOf(0);
+      ASSERT_TRUE(location.ok()) << location.status().message();
+      viewer.value()->mutable_camera()->MoveTo(location.value()[0] + top.OffsetAt(0),
+                                              location.value()[1] + top.OffsetAt(1));
+    }
+    viewer.value()->Zoom(1e4);
+    EXPECT_GT(ExpectPoliciesAgree(*viewer.value(), "zoom x1e4").ink, 0u);
+    viewer.value()->Zoom(1e300);  // clamps to the minimum elevation
+    EXPECT_GT(ExpectPoliciesAgree(*viewer.value(), "minimum elevation").ink, 0u);
+  }
 }
 
 }  // namespace
