@@ -106,7 +106,9 @@ void Report() {
   const int reps = 5;
 
   double serial_us = BestColdMicros(
-      reps, [&] { session.engine().InvalidateAll(); },
+      reps, [&] { Must(session.engine().Invalidate(session.graph(),
+                                                   dataflow::Invalidation::All()),
+                       "invalidate"); },
       [&] {
         Must(session.engine().Evaluate(session.graph(), target, 0), "serial");
       });
@@ -123,7 +125,9 @@ void Report() {
     runtime::ParallelEngine engine(&env.catalog(), &pool, nullptr,
                                    threads == 4 ? &metrics : nullptr);
     parallel_us[threads] = BestColdMicros(
-        reps, [&] { engine.InvalidateAll(); },
+        reps, [&] { Must(engine.Invalidate(session.graph(),
+                                           dataflow::Invalidation::All()),
+                         "invalidate"); },
         [&] { Must(engine.Evaluate(session.graph(), target, 0), "parallel"); });
     identical =
         identical &&
@@ -179,7 +183,8 @@ void BM_SerialColdEval(benchmark::State& state) {
   std::string target = BuildFig7AsDrawn(&env);
   ui::Session& session = env.session();
   for (auto _ : state) {
-    session.engine().InvalidateAll();
+    Must(session.engine().Invalidate(session.graph(), dataflow::Invalidation::All()),
+         "invalidate");
     benchmark::DoNotOptimize(
         session.engine().Evaluate(session.graph(), target, 0));
   }
@@ -194,7 +199,8 @@ void BM_ParallelColdEval(benchmark::State& state) {
   runtime::ThreadPool pool(static_cast<size_t>(state.range(0)));
   runtime::ParallelEngine engine(&env.catalog(), &pool);
   for (auto _ : state) {
-    engine.InvalidateAll();
+    Must(engine.Invalidate(env.session().graph(), dataflow::Invalidation::All()),
+         "invalidate");
     benchmark::DoNotOptimize(
         engine.Evaluate(env.session().graph(), target, 0));
   }

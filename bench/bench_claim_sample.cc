@@ -57,7 +57,9 @@ void Report() {
     double best_ms = 1e18;
     size_t drawn = 0;
     for (int run = 0; run < 3; ++run) {
-      fresh.session().engine().InvalidateAll();
+      Must(fresh.session().engine().Invalidate(fresh.session().graph(),
+                                               dataflow::Invalidation::All()),
+           "invalidate");
       fb.Clear(draw::kWhite);
       auto start = std::chrono::steady_clock::now();
       MustOk(viewer->Refresh(), "refresh");
@@ -82,7 +84,9 @@ void BM_EndToEndBySampleProbability(benchmark::State& state) {
   render::Framebuffer fb(640, 480);
   render::RasterSurface surface(&fb);
   for (auto _ : state) {
-    env.session().engine().InvalidateAll();
+    Must(env.session().engine().Invalidate(env.session().graph(),
+                                           dataflow::Invalidation::All()),
+         "invalidate");
     fb.Clear(draw::kWhite);
     MustOk(viewer->Refresh(), "refresh");
     benchmark::DoNotOptimize(viewer->RenderTo(&surface));

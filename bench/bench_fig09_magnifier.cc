@@ -112,7 +112,8 @@ void BM_SwapDisplayAttribute(benchmark::State& state) {
   chain("SwapAttributes", {{"a", "a"}, {"b", "b"}});
   Must(session.AddViewer(previous, 0, "swapped"), "viewer");
   for (auto _ : state) {
-    session.engine().InvalidateAll();
+    Must(session.engine().Invalidate(session.graph(), dataflow::Invalidation::All()),
+         "invalidate");
     benchmark::DoNotOptimize(session.EvaluateCanvas("swapped"));
   }
 }

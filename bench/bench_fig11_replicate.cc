@@ -86,7 +86,8 @@ void BM_ReplicateByPartitionCount(benchmark::State& state) {
   MustOk(session.Connect(employees, 0, replicate, 0), "w");
   Must(session.AddViewer(replicate, 0, "bands"), "viewer");
   for (auto _ : state) {
-    session.engine().InvalidateAll();
+    Must(session.engine().Invalidate(session.graph(), dataflow::Invalidation::All()),
+         "invalidate");
     benchmark::DoNotOptimize(session.EvaluateCanvas("bands"));
   }
   state.counters["partitions"] = static_cast<double>(n);
@@ -108,7 +109,8 @@ void BM_ReplicateTabularGrid(benchmark::State& state) {
   MustOk(session.Connect(employees, 0, replicate, 0), "w");
   Must(session.AddViewer(replicate, 0, "grid"), "viewer");
   for (auto _ : state) {
-    session.engine().InvalidateAll();
+    Must(session.engine().Invalidate(session.graph(), dataflow::Invalidation::All()),
+         "invalidate");
     benchmark::DoNotOptimize(session.EvaluateCanvas("grid"));
   }
 }

@@ -11,14 +11,17 @@
 #               column vectors through selection vectors and dictionary
 #               codes) and the render / canvas-renderer / viewer tests (the
 #               rasterizer writes spans straight into the framebuffer, with
-#               no per-pixel bounds test);
+#               no per-pixel bounds test) and the expression parser /
+#               robustness tests (the parser's nesting bound is what keeps
+#               pathological input from overflowing the stack);
 #   4. ubsan  — rebuild with UndefinedBehaviorSanitizer alone (unlike the
 #               asan pass it traps on the first finding instead of
 #               recovering) and run the join/operator tests — the class of
 #               bug this catches mechanically is the old HashKey
 #               out-of-range double->int64 cast — and the render tests,
 #               whose deep-zoom cases would overflow int device coordinates
-#               without saturation;
+#               without saturation, and the expression parser / robustness
+#               tests (20,000-deep nesting must come back as a ParseError);
 #   5. recovery — the crash-safety gate: the storage tests (which include
 #               the nine-figure kill-and-recover snapshot/replay cycle) under
 #               ThreadSanitizer — snapshotting runs on a background thread
@@ -114,21 +117,23 @@ cmake --build build-tsan -j --target \
 (cd build-tsan && ctest --output-on-failure \
   -R 'runtime|session_server|delta_update|batch_eval|epoch')
 
-echo "== asan: columnar + batch evaluation + aggregates + epoch + render tests =="
+echo "== asan: columnar + batch evaluation + aggregates + epoch + render + parser tests =="
 cmake -B build-asan -S . -DTIOGA2_ASAN=ON >/dev/null
 cmake --build build-asan -j --target \
   columnar_test batch_eval_test operators_test display_relation_test \
-  aggregates_test epoch_test render_test canvas_renderer_test viewer_test
+  aggregates_test epoch_test render_test canvas_renderer_test viewer_test \
+  robustness_test expr_parser_test
 (cd build-asan && ctest --output-on-failure \
-  -R 'columnar_test|batch_eval_test|operators_test|display_relation_test|aggregates_test|epoch_test|render_test|canvas_renderer_test|viewer_test')
+  -R 'columnar_test|batch_eval_test|operators_test|display_relation_test|aggregates_test|epoch_test|render_test|canvas_renderer_test|viewer_test|robustness_test|expr_parser_test')
 
-echo "== ubsan: join + operator + aggregates + epoch + render tests =="
+echo "== ubsan: join + operator + aggregates + epoch + render + parser tests =="
 cmake -B build-ubsan -S . -DTIOGA2_UBSAN=ON >/dev/null
 cmake --build build-ubsan -j --target \
   join_test operators_test columnar_test batch_eval_test aggregates_test \
-  epoch_test render_test canvas_renderer_test viewer_test
+  epoch_test render_test canvas_renderer_test viewer_test \
+  robustness_test expr_parser_test
 (cd build-ubsan && ctest --output-on-failure \
-  -R 'join_test|operators_test|columnar_test|batch_eval_test|aggregates_test|epoch_test|render_test|canvas_renderer_test|viewer_test')
+  -R 'join_test|operators_test|columnar_test|batch_eval_test|aggregates_test|epoch_test|render_test|canvas_renderer_test|viewer_test|robustness_test|expr_parser_test')
 
 echo "== recovery: storage snapshot/replay under tsan, crash injection under asan =="
 cmake --build build-tsan -j --target storage_test

@@ -7,145 +7,91 @@
 
 namespace tioga2::dataflow {
 
-Result<MemoCache::EntryPtr> Engine::EvaluateBox(
-    const Graph& graph, const std::string& box_id,
-    std::vector<std::string>* eval_stack) {
-  if (std::find(eval_stack->begin(), eval_stack->end(), box_id) != eval_stack->end()) {
-    return Status::Internal("cycle through box '" + box_id + "' during evaluation");
+Result<BoxEvaluation> FireOrAdopt(const Box& box, const std::string& box_id,
+                                  const std::vector<Edge>& inputs,
+                                  const std::vector<MemoCache::EntryPtr>& upstream,
+                                  const ExecContext& ctx, MemoCache& cache,
+                                  SharedMemoCache* shared) {
+  uint64_t stamp = BoxSignature(box, ctx);
+  for (size_t port = 0; port < inputs.size(); ++port) {
+    const Edge& edge = inputs[port];
+    if (edge.from_port >= upstream[port]->outputs.size()) {
+      return Status::Internal("box '" + edge.from_box + "' produced no output " +
+                              std::to_string(edge.from_port));
+    }
+    stamp = FoldInputStamp(stamp, upstream[port]->stamp, edge.from_port, port);
   }
-  TIOGA2_ASSIGN_OR_RETURN(const Box* box, graph.GetBox(box_id));
 
-  ExecContext ctx;
-  ctx.catalog = catalog_;
-  ctx.encap_inputs = encap_inputs_;
-  ctx.policy = policy_.value_or(db::DefaultExecPolicy());
-
-  // Evaluate inputs first (depth first), accumulating the stamp.
-  eval_stack->push_back(box_id);
-  uint64_t stamp = BoxSignature(*box, ctx);
-  std::vector<PortType> input_types = box->InputTypes();
-  std::vector<MemoCache::EntryPtr> upstream_entries;
-  std::vector<size_t> upstream_ports;
-  upstream_entries.reserve(input_types.size());
-  for (size_t port = 0; port < input_types.size(); ++port) {
-    std::optional<Edge> edge = graph.IncomingEdge(box_id, port);
-    if (!edge.has_value()) {
-      eval_stack->pop_back();
-      return Status::FailedPrecondition("box '" + box_id + "' (" + box->type_name() +
-                                        ") input " + std::to_string(port) +
-                                        " is not connected");
-    }
-    Result<MemoCache::EntryPtr> upstream = EvaluateBox(graph, edge->from_box, eval_stack);
-    if (!upstream.ok()) {
-      eval_stack->pop_back();
-      return upstream.status();
-    }
-    MemoCache::EntryPtr entry = std::move(upstream).value();
-    stamp = HashCombine(stamp, entry->stamp);
-    stamp = HashCombine(stamp, edge->from_port);
-    stamp = HashCombine(stamp, port);
-    if (edge->from_port >= entry->outputs.size()) {
-      eval_stack->pop_back();
-      return Status::Internal("box '" + edge->from_box + "' produced no output " +
-                              std::to_string(edge->from_port));
-    }
-    upstream_entries.push_back(std::move(entry));
-    upstream_ports.push_back(edge->from_port);
-  }
-  eval_stack->pop_back();
-
-  if (MemoCache::EntryPtr cached = cache_->Lookup(box_id, stamp)) {
-    ++stats_.cache_hits;
-    return cached;
+  if (MemoCache::EntryPtr cached = cache.Lookup(box_id, stamp)) {
+    return BoxEvaluation{std::move(cached), BoxOutcome::kLocalHit};
   }
   // Local miss: another session may have evaluated an identical subgraph —
   // stamps are content-addressed, so a shared-tier entry under this stamp is
   // byte-identical to what firing would produce. Adopt it into the local
   // cache (sharing the allocation) instead of firing.
-  if (shared_cache_ != nullptr) {
-    if (MemoCache::EntryPtr shared = shared_cache_->Lookup(stamp)) {
-      ++stats_.cache_hits;
-      ++stats_.shared_hits;
-      return cache_->InsertEntry(box_id, std::move(shared));
+  if (shared != nullptr) {
+    if (MemoCache::EntryPtr adopted = shared->Lookup(stamp)) {
+      return BoxEvaluation{cache.InsertEntry(box_id, std::move(adopted)),
+                           BoxOutcome::kSharedHit};
     }
   }
 
-  // Cache miss: coerce the inputs and fire.
-  std::vector<BoxValue> inputs;
-  inputs.reserve(input_types.size());
+  // Miss in both tiers: coerce the inputs and fire.
+  std::vector<PortType> input_types = box.InputTypes();
+  std::vector<BoxValue> values;
+  values.reserve(input_types.size());
   for (size_t port = 0; port < input_types.size(); ++port) {
     TIOGA2_ASSIGN_OR_RETURN(
         BoxValue coerced,
-        CoerceBoxValue(upstream_entries[port]->outputs[upstream_ports[port]],
+        CoerceBoxValue(upstream[port]->outputs[inputs[port].from_port],
                        input_types[port]));
-    inputs.push_back(std::move(coerced));
+    values.push_back(std::move(coerced));
   }
-  Result<std::vector<BoxValue>> outputs = box->Fire(inputs, ctx);
-  for (std::string& warning : ctx.warnings) warnings_.push_back(std::move(warning));
-  TIOGA2_RETURN_IF_ERROR(outputs.status());
-  ++stats_.boxes_fired;
-  if (outputs->size() != box->OutputTypes().size()) {
-    return Status::Internal("box '" + box_id + "' (" + box->type_name() + ") fired " +
-                            std::to_string(outputs->size()) + " outputs, declared " +
-                            std::to_string(box->OutputTypes().size()));
+  TIOGA2_ASSIGN_OR_RETURN(std::vector<BoxValue> outputs, box.Fire(values, ctx));
+  size_t declared = box.OutputTypes().size();
+  if (outputs.size() != declared) {
+    return Status::Internal("box '" + box_id + "' (" + box.type_name() + ") fired " +
+                            std::to_string(outputs.size()) + " outputs, declared " +
+                            std::to_string(declared));
   }
-  MemoCache::EntryPtr stored =
-      cache_->Insert(box_id, stamp, std::move(outputs).value());
-  if (shared_cache_ != nullptr) shared_cache_->Insert(stored);
-  return stored;
+  MemoCache::EntryPtr stored = cache.Insert(box_id, stamp, std::move(outputs));
+  if (shared != nullptr) shared->Insert(stored);
+  return BoxEvaluation{std::move(stored), BoxOutcome::kFired};
 }
 
-Result<BoxValue> Engine::Evaluate(const Graph& graph, const std::string& box_id,
-                                  size_t output_port) {
-  ++stats_.evaluations;
-  warnings_.clear();
-  std::vector<std::string> eval_stack;
-  TIOGA2_ASSIGN_OR_RETURN(MemoCache::EntryPtr entry,
-                          EvaluateBox(graph, box_id, &eval_stack));
-  if (output_port >= entry->outputs.size()) {
-    return Status::OutOfRange("box '" + box_id + "' has no output " +
-                              std::to_string(output_port));
-  }
-  return entry->outputs[output_port];
-}
-
-Status Engine::EvaluateAll(const Graph& graph) {
-  ++stats_.evaluations;
-  warnings_.clear();
+Result<std::vector<std::string>> RunnableBoxes(const Graph& graph,
+                                               EngineStats* stats,
+                                               std::vector<std::string>* warnings) {
   TIOGA2_ASSIGN_OR_RETURN(std::vector<std::string> order, graph.TopologicalOrder());
-  // Skip boxes that transitively depend on a dangling input — reported via
-  // stats().boxes_skipped and a warning per box, not silently dropped.
-  std::vector<std::string> dangling = graph.BoxesWithDanglingInputs();
-  std::vector<std::string> blocked = dangling;
+  std::vector<std::string> blocked = graph.BoxesWithDanglingInputs();
+  auto is_blocked = [&](const std::string& id) {
+    return std::find(blocked.begin(), blocked.end(), id) != blocked.end();
+  };
+  std::vector<std::string> runnable;
   for (const std::string& id : order) {
-    if (std::find(blocked.begin(), blocked.end(), id) != blocked.end()) {
-      ++stats_.boxes_skipped;
-      warnings_.push_back("EvaluateAll: skipped box '" + id +
+    if (is_blocked(id)) {
+      ++stats->boxes_skipped;
+      warnings->push_back("EvaluateAll: skipped box '" + id +
                           "' (dangling input, cannot fire)");
       continue;
     }
-    bool upstream_blocked = false;
-    std::vector<PortType> input_types;
     TIOGA2_ASSIGN_OR_RETURN(const Box* box, graph.GetBox(id));
-    input_types = box->InputTypes();
-    for (size_t port = 0; port < input_types.size(); ++port) {
+    bool upstream_blocked = false;
+    size_t num_inputs = box->InputTypes().size();
+    for (size_t port = 0; port < num_inputs; ++port) {
       std::optional<Edge> edge = graph.IncomingEdge(id, port);
-      if (edge.has_value() &&
-          std::find(blocked.begin(), blocked.end(), edge->from_box) != blocked.end()) {
-        upstream_blocked = true;
-      }
+      if (edge.has_value() && is_blocked(edge->from_box)) upstream_blocked = true;
     }
     if (upstream_blocked) {
       blocked.push_back(id);
-      ++stats_.boxes_skipped;
-      warnings_.push_back("EvaluateAll: skipped box '" + id +
+      ++stats->boxes_skipped;
+      warnings->push_back("EvaluateAll: skipped box '" + id +
                           "' (upstream of it has a dangling input)");
       continue;
     }
-    std::vector<std::string> eval_stack;
-    TIOGA2_RETURN_IF_ERROR(EvaluateBox(graph, id, &eval_stack).status());
+    runnable.push_back(id);
   }
-  return Status::OK();
+  return runnable;
 }
 
 std::vector<std::string> BoxesDownstreamOfTable(const Graph& graph,
@@ -174,41 +120,112 @@ std::vector<std::string> BoxesDownstreamOfTable(const Graph& graph,
   return std::vector<std::string>(affected.begin(), affected.end());
 }
 
-size_t Engine::InvalidateDownstreamOf(const Graph& graph, const std::string& table) {
-  size_t evicted = 0;
-  for (const std::string& id : BoxesDownstreamOfTable(graph, table)) {
-    if (cache_->StampOf(id).has_value()) {
-      cache_->Erase(id);
-      ++evicted;
-    }
+Result<InvalidationResult> InvalidateCache(
+    const Graph& graph, const db::Catalog* catalog, const Invalidation& inv,
+    MemoCache& cache, const db::ExecPolicy& policy,
+    const std::vector<BoxValue>* encap_inputs) {
+  InvalidationResult result;
+  switch (inv.scope()) {
+    case Invalidation::Scope::kAll:
+      result.entries_evicted = cache.size();
+      cache.Clear();
+      return result;
+    case Invalidation::Scope::kDownstreamOf:
+      for (const std::string& id : BoxesDownstreamOfTable(graph, inv.table())) {
+        if (cache.StampOf(id).has_value()) {
+          cache.Erase(id);
+          ++result.entries_evicted;
+        }
+      }
+      return result;
+    case Invalidation::Scope::kDelta:
+      return PropagateDelta(graph, catalog, inv.delta(), cache, policy,
+                            encap_inputs);
   }
-  return evicted;
+  return Status::Internal("unknown invalidation scope");
+}
+
+Result<MemoCache::EntryPtr> Engine::EvaluateBox(
+    const Graph& graph, const std::string& box_id,
+    std::vector<std::string>* eval_stack) {
+  if (std::find(eval_stack->begin(), eval_stack->end(), box_id) != eval_stack->end()) {
+    return Status::Internal("cycle through box '" + box_id + "' during evaluation");
+  }
+  TIOGA2_ASSIGN_OR_RETURN(const Box* box, graph.GetBox(box_id));
+
+  // Evaluate inputs first (depth first, in port order).
+  eval_stack->push_back(box_id);
+  size_t num_inputs = box->InputTypes().size();
+  std::vector<Edge> inputs;
+  std::vector<MemoCache::EntryPtr> upstream;
+  inputs.reserve(num_inputs);
+  upstream.reserve(num_inputs);
+  for (size_t port = 0; port < num_inputs; ++port) {
+    std::optional<Edge> edge = graph.IncomingEdge(box_id, port);
+    if (!edge.has_value()) {
+      eval_stack->pop_back();
+      return Status::FailedPrecondition("box '" + box_id + "' (" + box->type_name() +
+                                        ") input " + std::to_string(port) +
+                                        " is not connected");
+    }
+    Result<MemoCache::EntryPtr> entry = EvaluateBox(graph, edge->from_box, eval_stack);
+    if (!entry.ok()) {
+      eval_stack->pop_back();
+      return entry.status();
+    }
+    upstream.push_back(std::move(entry).value());
+    inputs.push_back(std::move(*edge));
+  }
+  eval_stack->pop_back();
+
+  ExecContext ctx;
+  ctx.catalog = catalog_;
+  ctx.encap_inputs = encap_inputs_;
+  ctx.policy = policy_.value_or(db::DefaultExecPolicy());
+  Result<BoxEvaluation> evaluated =
+      FireOrAdopt(*box, box_id, inputs, upstream, ctx, *cache_, shared_cache_);
+  for (std::string& warning : ctx.warnings) warnings_.push_back(std::move(warning));
+  TIOGA2_RETURN_IF_ERROR(evaluated.status());
+  stats_.Record(evaluated->outcome);
+  return std::move(evaluated->entry);
+}
+
+Result<BoxValue> Engine::Evaluate(const Graph& graph, const std::string& box_id,
+                                  size_t output_port) {
+  ++stats_.evaluations;
+  warnings_.clear();
+  std::vector<std::string> eval_stack;
+  TIOGA2_ASSIGN_OR_RETURN(MemoCache::EntryPtr entry,
+                          EvaluateBox(graph, box_id, &eval_stack));
+  if (output_port >= entry->outputs.size()) {
+    return Status::OutOfRange("box '" + box_id + "' has no output " +
+                              std::to_string(output_port));
+  }
+  return entry->outputs[output_port];
+}
+
+Status Engine::EvaluateAll(const Graph& graph) {
+  ++stats_.evaluations;
+  warnings_.clear();
+  TIOGA2_ASSIGN_OR_RETURN(std::vector<std::string> runnable,
+                          RunnableBoxes(graph, &stats_, &warnings_));
+  for (const std::string& id : runnable) {
+    std::vector<std::string> eval_stack;
+    TIOGA2_RETURN_IF_ERROR(EvaluateBox(graph, id, &eval_stack).status());
+  }
+  return Status::OK();
 }
 
 Result<InvalidationResult> Engine::Invalidate(const Graph& graph,
                                               const Invalidation& inv) {
-  InvalidationResult result;
-  switch (inv.scope()) {
-    case Invalidation::Scope::kAll:
-      result.entries_evicted = cache_->size();
-      cache_->Clear();
-      return result;
-    case Invalidation::Scope::kDownstreamOf:
-      result.entries_evicted = InvalidateDownstreamOf(graph, inv.table());
-      return result;
-    case Invalidation::Scope::kDelta: {
-      TIOGA2_ASSIGN_OR_RETURN(
-          result, PropagateDelta(graph, catalog_, inv.delta(), *cache_,
-                                 policy_.value_or(db::DefaultExecPolicy()),
-                                 encap_inputs_));
-      stats_.deltas_applied += result.deltas_applied;
-      stats_.delta_fallbacks += result.delta_fallbacks;
-      for (const std::string& warning : result.warnings)
-        warnings_.push_back(warning);
-      return result;
-    }
-  }
-  return Status::Internal("unknown invalidation scope");
+  TIOGA2_ASSIGN_OR_RETURN(
+      InvalidationResult result,
+      InvalidateCache(graph, catalog_, inv, *cache_,
+                      policy_.value_or(db::DefaultExecPolicy()), encap_inputs_));
+  stats_.deltas_applied += result.deltas_applied;
+  stats_.delta_fallbacks += result.delta_fallbacks;
+  warnings_.insert(warnings_.end(), result.warnings.begin(), result.warnings.end());
+  return result;
 }
 
 }  // namespace tioga2::dataflow

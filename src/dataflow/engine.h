@@ -16,9 +16,17 @@
 
 namespace tioga2::dataflow {
 
+/// How FireOrAdopt produced a box's entry.
+enum class BoxOutcome {
+  kLocalHit,   // the local MemoCache held the stamp
+  kSharedHit,  // adopted from the cross-session SharedMemoCache
+  kFired,      // the box fired; its entry was published to both tiers
+};
+
 /// Counters for the lazy-vs-eager evaluation ablation and for asserting the
 /// paper's incremental-feedback claim ("immediate feedback on the effect of
-/// incremental program modifications").
+/// incremental program modifications"). Both schedulers — Engine and
+/// runtime::ParallelEngine — report this one type.
 struct EngineStats {
   uint64_t boxes_fired = 0;
   uint64_t cache_hits = 0;
@@ -27,6 +35,16 @@ struct EngineStats {
   uint64_t boxes_skipped = 0;   // EvaluateAll: dangling-input boxes not fired
   uint64_t deltas_applied = 0;  // boxes maintained incrementally (kDelta)
   uint64_t delta_fallbacks = 0; // boxes that declined a delta and were evicted
+
+  /// Counts one FireOrAdopt outcome.
+  void Record(BoxOutcome outcome) {
+    if (outcome == BoxOutcome::kFired) {
+      ++boxes_fired;
+      return;
+    }
+    ++cache_hits;
+    if (outcome == BoxOutcome::kSharedHit) ++shared_hits;
+  }
 };
 
 /// A typed invalidation request — the one entry point for telling an engine
@@ -85,20 +103,66 @@ struct InvalidationResult {
   std::vector<std::string> warnings;
 };
 
-/// Demand-driven, memoizing evaluator for boxes-and-arrows programs.
+/// FireOrAdopt's answer: the memoized entry and how it was obtained.
+struct BoxEvaluation {
+  MemoCache::EntryPtr entry;
+  BoxOutcome outcome = BoxOutcome::kFired;
+};
+
+/// The per-box core of lazy, memoized evaluation — the one place where a
+/// box's outputs are either found or computed. Both schedulers call it: the
+/// serial Engine from its depth-first walk on the caller's thread, and
+/// runtime::ParallelEngine from pool workers once a box's inputs are done.
+///
+/// `inputs` are the box's incoming edges in port order and `upstream` the
+/// memoized entries of their source boxes (same length). The core folds the
+/// box's stamp (dataflow/stamp.h), returns the `cache` entry under that
+/// stamp if present, else adopts a `shared` tier entry (may be null) into
+/// `cache`, else coerces the inputs to the port types, fires the box, checks
+/// the output arity and publishes the new entry to both tiers. Fire
+/// warnings land in `ctx.warnings`, also when firing fails. Safe to call
+/// concurrently for different boxes sharing one cache.
+Result<BoxEvaluation> FireOrAdopt(const Box& box, const std::string& box_id,
+                                  const std::vector<Edge>& inputs,
+                                  const std::vector<MemoCache::EntryPtr>& upstream,
+                                  const ExecContext& ctx, MemoCache& cache,
+                                  SharedMemoCache* shared);
+
+/// EvaluateAll's skip policy, shared by both schedulers: the boxes of
+/// `graph` in topological order, minus those with a dangling input and
+/// those downstream of one. Each skipped box is counted in
+/// `stats->boxes_skipped` and reported by a warning appended to `warnings`.
+Result<std::vector<std::string>> RunnableBoxes(const Graph& graph,
+                                               EngineStats* stats,
+                                               std::vector<std::string>* warnings);
+
+/// The one implementation of an invalidation request against a memo cache,
+/// shared by both engines' Invalidate: kAll clears `cache`; kDownstreamOf
+/// evicts the cached entries of the table's downstream closure
+/// (BoxesDownstreamOfTable); kDelta runs PropagateDelta with `policy`.
+/// Errors are reserved for malformed requests or corrupted state; a delta
+/// that merely cannot be applied degrades to eviction and still returns ok.
+Result<InvalidationResult> InvalidateCache(
+    const Graph& graph, const db::Catalog* catalog, const Invalidation& inv,
+    MemoCache& cache, const db::ExecPolicy& policy,
+    const std::vector<BoxValue>* encap_inputs = nullptr);
+
+/// Demand-driven, memoizing evaluator for boxes-and-arrows programs: the
+/// caller-thread scheduler over FireOrAdopt.
 ///
 /// "Execution is lazy, evaluating only what is required to produce the
-/// demanded visualization" (§2): Evaluate(box, port) pulls exactly the
-/// transitive inputs of `box`. Each box's outputs are cached under a stamp
-/// that hashes the box's parameters, its inputs' stamps, and any catalog
-/// state it reads (table versions); an edit to one box therefore re-fires
-/// only the boxes downstream of the edit.
+/// demanded visualization" (§2): Evaluate(box, port) walks the transitive
+/// inputs of `box` depth first and hands each box to FireOrAdopt. Each
+/// box's outputs are cached under a stamp that hashes the box's parameters,
+/// its inputs' stamps, and any catalog state it reads (table versions); an
+/// edit to one box therefore re-fires only the boxes downstream of the
+/// edit.
 ///
 /// The memo cache lives in a MemoCache that may be shared with other
-/// evaluators (notably runtime::ParallelEngine, which keys entries with the
-/// same stamps — see dataflow/stamp.h). The Engine itself is not
-/// thread-safe: one Engine serves one caller at a time, and concurrency is
-/// layered on top by runtime::SessionServer.
+/// evaluators (notably runtime::ParallelEngine, the other scheduler over
+/// the same core). The Engine itself is not thread-safe: one Engine serves
+/// one caller at a time, and concurrency is layered on top by
+/// runtime::SessionServer.
 class Engine {
  public:
   /// `catalog` must outlive the engine; may be null for graphs without
@@ -120,30 +184,16 @@ class Engine {
   /// Evaluates every output of every box in topological order (the eager
   /// baseline for the ablation benchmark). Boxes with dangling inputs (and
   /// boxes downstream of them) cannot fire; they are counted in
-  /// stats().boxes_skipped and reported through warnings().
+  /// stats().boxes_skipped and reported through warnings() (RunnableBoxes).
   Status EvaluateAll(const Graph& graph);
 
-  /// The unified invalidation entry point: dispatches on the request's
-  /// scope. kAll clears the cache; kDownstreamOf evicts the table's
+  /// The one invalidation entry point (InvalidateCache on this engine's
+  /// cache): kAll clears the cache; kDownstreamOf evicts the table's
   /// downstream closure; kDelta runs delta propagation (PropagateDelta),
   /// maintaining cached outputs box-by-box and evicting only the boxes that
-  /// decline. Errors are reserved for malformed requests or corrupted
-  /// state; a delta that merely cannot be applied degrades to eviction and
-  /// still returns ok.
+  /// decline.
   Result<InvalidationResult> Invalidate(const Graph& graph,
                                         const Invalidation& inv);
-
-  /// Drops all cached outputs. DEPRECATED: use
-  /// Invalidate(graph, Invalidation::All()); kept for existing callers.
-  void InvalidateAll() { cache_->Clear(); }
-
-  /// Drops the cached outputs of every box downstream of a source box
-  /// reading `table` (including the source itself) — the §8 update path:
-  /// after a single-table edit only dependent entries need evicting, the
-  /// rest of the memo cache stays warm. Returns the number of entries
-  /// evicted. DEPRECATED: use Invalidate(graph,
-  /// Invalidation::DownstreamOf(table)).
-  size_t InvalidateDownstreamOf(const Graph& graph, const std::string& table);
 
   const EngineStats& stats() const { return stats_; }
   void ResetStats() { stats_ = EngineStats{}; }
@@ -173,8 +223,9 @@ class Engine {
   const std::vector<std::string>& warnings() const { return warnings_; }
 
  private:
-  /// Evaluates all outputs of a box, via the cache. Returns the immutable
-  /// cache entry holding the outputs and the box's stamp.
+  /// Evaluates all outputs of a box: its inputs depth first, then the box
+  /// itself through FireOrAdopt. Returns the immutable cache entry holding
+  /// the outputs and the box's stamp.
   Result<MemoCache::EntryPtr> EvaluateBox(const Graph& graph,
                                           const std::string& box_id,
                                           std::vector<std::string>* eval_stack);
@@ -191,7 +242,7 @@ class Engine {
 
 /// Ids of the source boxes reading `table` plus their transitive downstream
 /// closure — the set of boxes whose cached outputs a single-table edit can
-/// invalidate. Shared by Engine and runtime::ParallelEngine.
+/// invalidate. Used by InvalidateCache and PropagateDelta.
 std::vector<std::string> BoxesDownstreamOfTable(const Graph& graph,
                                                 const std::string& table);
 
@@ -200,8 +251,8 @@ std::vector<std::string> BoxesDownstreamOfTable(const Graph& graph,
 /// falling back to eviction for boxes that decline (or whose cached entry
 /// does not match the pre-update program). Maintained entries are re-keyed
 /// under their post-update stamps, so a subsequent Evaluate sees a warm
-/// cache and serial/parallel byte-identity is preserved. Shared by
-/// Engine::Invalidate and runtime::ParallelEngine::Invalidate. `catalog`
+/// cache and serial/parallel byte-identity is preserved. InvalidateCache
+/// runs it for Invalidation::Delta requests. `catalog`
 /// must already reflect the post-update state (delta.new_version installed).
 Result<InvalidationResult> PropagateDelta(
     const Graph& graph, const db::Catalog* catalog, const db::TableDelta& delta,

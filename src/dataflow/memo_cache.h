@@ -14,11 +14,14 @@
 namespace tioga2::dataflow {
 
 /// Thread-safe memo store for box outputs, keyed by box id and guarded by a
-/// stamp (see dataflow/stamp.h). Extracted from Engine so that one cache can
-/// be shared between a serial Engine, a runtime::ParallelEngine, and any
-/// number of worker threads: entries are immutable and handed out as
+/// stamp (see dataflow/stamp.h). Evaluation reads and fills it in one
+/// place, the fire-or-adopt core (dataflow::FireOrAdopt in
+/// dataflow/engine.h), whichever scheduler calls the core — so one cache
+/// can be shared between a serial Engine, a runtime::ParallelEngine, and any
+/// number of worker threads. Entries are immutable and handed out as
 /// shared_ptr, so a reader holding an entry is never invalidated by a
-/// concurrent insert or eviction.
+/// concurrent insert or eviction. Eviction and re-keying go through
+/// dataflow::InvalidateCache.
 ///
 /// The cache holds at most one entry per box id — a re-fire after an edit or
 /// a table-version bump overwrites the stale entry — so its footprint is

@@ -51,9 +51,10 @@ namespace tioga2::dataflow {
 /// unreferenced one. Entries whose stamps have gone stale (a table-version
 /// bump changes every downstream stamp) are never looked up again and simply
 /// age out; there is no explicit invalidation, because a stale stamp can
-/// never be recomputed by a correct evaluator. Lookup chain position: engines
-/// consult their per-session MemoCache first (id-keyed, cheapest), then this
-/// tier, then fire; fired entries are published to both.
+/// never be recomputed by a correct evaluator. Lookup chain position: the
+/// fire-or-adopt core (dataflow::FireOrAdopt) consults the per-session
+/// MemoCache first (id-keyed, cheapest), then this tier, then fires; fired
+/// entries are published to both.
 class SharedMemoCache {
  public:
   /// Counter snapshot (also surfaced through runtime::Metrics JSON).

@@ -8,17 +8,20 @@
 
 namespace tioga2::dataflow {
 
-// The stamp algebra shared by the serial Engine and runtime::ParallelEngine.
-// Both evaluators MUST key their memo-cache entries with the exact same
-// stamps so that a cache populated by one is valid for the other, and so
-// that serial and parallel evaluation are bit-identical (asserted by
+// The stamp algebra. It is written down once, here, and used by the one
+// fire-or-adopt core (FireOrAdopt in dataflow/engine.h) that both schedulers
+// — the serial Engine and runtime::ParallelEngine — call, and by delta
+// propagation (dataflow/delta.cc), which recomputes pre- and post-update
+// stamps without firing. Because every memo-cache entry is keyed by these
+// functions alone, a cache populated by one scheduler is valid for the
+// other, and serial and parallel evaluation are bit-identical (asserted by
 // runtime_determinism_test).
 //
 // The stamp/memoization contract (see also DESIGN.md "The stamp contract"):
 //
-//   stamp(box) = HashCombine(BoxSignature(box, ctx),
-//                            stamp(input_1), ..., stamp(input_n))
-//   with inputs folded in port order by the engines.
+//   stamp(box) = FoldInputStamp(... FoldInputStamp(BoxSignature(box, ctx),
+//                                                  input_1) ..., input_n)
+//   with inputs folded in port order.
 //
 // 1. A stamp is a pure function of the *program*: box type, parameters,
 //    catalog state the box declares via CacheSalt (e.g. table versions),
@@ -36,6 +39,15 @@ namespace tioga2::dataflow {
 /// 64-bit variant of boost::hash_combine.
 inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
   return seed ^ (value + 0x9E3779B97F4A7C15ULL + (seed << 12) + (seed >> 4));
+}
+
+/// Folds one input into a box's stamp: the stamp of the upstream entry, the
+/// upstream output port the edge reads, and the input port it feeds.
+inline uint64_t FoldInputStamp(uint64_t stamp, uint64_t input_stamp,
+                               size_t from_port, size_t port) {
+  stamp = HashCombine(stamp, input_stamp);
+  stamp = HashCombine(stamp, from_port);
+  return HashCombine(stamp, port);
 }
 
 /// FNV-1a.

@@ -41,6 +41,22 @@ class Parser {
                               std::to_string(Current().position));
   }
 
+  // Parses one nested construct with `parse`, counting it against
+  // kMaxExprNesting.
+  template <typename ParseFn>
+  Result<ExprNodePtr> Nested(ParseFn parse) {
+    if (depth_ == kMaxExprNesting) {
+      return Status::ParseError("expression nested deeper than " +
+                                std::to_string(kMaxExprNesting) +
+                                " levels at offset " +
+                                std::to_string(Current().position));
+    }
+    ++depth_;
+    Result<ExprNodePtr> result = parse();
+    --depth_;
+    return result;
+  }
+
   static ExprNodePtr MakeBinary(BinaryOp op, ExprNodePtr lhs, ExprNodePtr rhs,
                                 size_t position) {
     auto node = std::make_unique<ExprNode>();
@@ -78,7 +94,8 @@ class Parser {
     if (Current().kind == TokenKind::kNot) {
       size_t position = Current().position;
       Advance();
-      TIOGA2_ASSIGN_OR_RETURN(ExprNodePtr operand, ParseNot());
+      TIOGA2_ASSIGN_OR_RETURN(ExprNodePtr operand,
+                              Nested([&] { return ParseNot(); }));
       auto node = std::make_unique<ExprNode>();
       node->kind = ExprNode::Kind::kUnary;
       node->unary_op = UnaryOp::kNot;
@@ -144,7 +161,8 @@ class Parser {
     if (Current().kind == TokenKind::kMinus) {
       size_t position = Current().position;
       Advance();
-      TIOGA2_ASSIGN_OR_RETURN(ExprNodePtr operand, ParseUnary());
+      TIOGA2_ASSIGN_OR_RETURN(ExprNodePtr operand,
+                              Nested([&] { return ParseUnary(); }));
       auto node = std::make_unique<ExprNode>();
       node->kind = ExprNode::Kind::kUnary;
       node->unary_op = UnaryOp::kNeg;
@@ -198,7 +216,8 @@ class Parser {
           node->name = std::move(name);
           if (!Accept(TokenKind::kRParen)) {
             while (true) {
-              TIOGA2_ASSIGN_OR_RETURN(ExprNodePtr arg, ParseOr());
+              TIOGA2_ASSIGN_OR_RETURN(ExprNodePtr arg,
+                                      Nested([&] { return ParseOr(); }));
               node->children.push_back(std::move(arg));
               if (Accept(TokenKind::kComma)) continue;
               if (Accept(TokenKind::kRParen)) break;
@@ -213,7 +232,8 @@ class Parser {
       }
       case TokenKind::kLParen: {
         Advance();
-        TIOGA2_ASSIGN_OR_RETURN(ExprNodePtr inner, ParseOr());
+        TIOGA2_ASSIGN_OR_RETURN(ExprNodePtr inner,
+                                Nested([&] { return ParseOr(); }));
         if (!Accept(TokenKind::kRParen)) return Unexpected("')'");
         return inner;
       }
@@ -224,6 +244,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // nesting levels open (see Nested)
 };
 
 }  // namespace

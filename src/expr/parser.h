@@ -1,12 +1,20 @@
 #ifndef TIOGA2_EXPR_PARSER_H_
 #define TIOGA2_EXPR_PARSER_H_
 
+#include <cstddef>
 #include <string>
 
 #include "common/result.h"
 #include "expr/ast.h"
 
 namespace tioga2::expr {
+
+/// The deepest nesting ParseExpr accepts. Each parenthesis, unary minus,
+/// `not` and call argument list opens one level; the recursive-descent
+/// parser returns a ParseError past this bound instead of recursing until
+/// the stack overflows. Far above any hand-written expression (the figure
+/// programs nest a few levels).
+inline constexpr size_t kMaxExprNesting = 256;
 
 /// Parses an expression string into an (unanalyzed) AST.
 ///

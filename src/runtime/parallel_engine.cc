@@ -8,7 +8,6 @@
 #include <optional>
 #include <utility>
 
-#include "dataflow/stamp.h"
 
 namespace tioga2::runtime {
 
@@ -106,18 +105,6 @@ void ParallelEngine::FireBox(Plan* plan,
                              const std::shared_ptr<RunState>& state,
                              const std::string& box_id) {
   const Plan::Node& node = plan->nodes.at(box_id);
-  dataflow::ExecContext ctx;
-  ctx.catalog = catalog_;
-  ctx.policy = policy_.value_or(db::DefaultExecPolicy());
-  // Lend the box our own pool for intra-operator morsel fan-out. Safe even
-  // though this box is itself running on a pool worker: ForEachMorsel's
-  // submitter claims morsels too and never blocks on pool capacity
-  // (db/morsel.h), so inter-box and intra-box work share the workers
-  // without the scheduler deadlocking.
-  if (ctx.policy.runner == nullptr) ctx.policy.runner = pool_;
-
-  Status failure;
-  MemoCache::EntryPtr entry;
   std::vector<MemoCache::EntryPtr> upstream;
   bool aborted = false;
   {
@@ -131,81 +118,29 @@ void ParallelEngine::FireBox(Plan* plan,
     }
   }
 
+  dataflow::ExecContext ctx;
+  ctx.catalog = catalog_;
+  ctx.policy = policy_.value_or(db::DefaultExecPolicy());
+  // Lend the box our own pool for intra-operator morsel fan-out. Safe even
+  // though this box is itself running on a pool worker: ForEachMorsel's
+  // submitter claims morsels too and never blocks on pool capacity
+  // (db/morsel.h), so inter-box and intra-box work share the workers
+  // without the scheduler deadlocking.
+  if (ctx.policy.runner == nullptr) ctx.policy.runner = pool_;
+  Result<dataflow::BoxEvaluation> evaluated = dataflow::BoxEvaluation{};
   if (!aborted) {
-    // The exact stamp algebra of the serial Engine (dataflow/stamp.h).
-    uint64_t stamp = dataflow::BoxSignature(*node.box, ctx);
-    for (size_t port = 0; port < node.inputs.size(); ++port) {
-      const Edge& edge = node.inputs[port];
-      stamp = dataflow::HashCombine(stamp, upstream[port]->stamp);
-      stamp = dataflow::HashCombine(stamp, edge.from_port);
-      stamp = dataflow::HashCombine(stamp, port);
-      if (edge.from_port >= upstream[port]->outputs.size()) {
-        failure = Status::Internal("box '" + edge.from_box +
-                                   "' produced no output " +
-                                   std::to_string(edge.from_port));
-        break;
-      }
-    }
-    if (failure.ok()) {
-      entry = cache_->Lookup(box_id, stamp);
-      if (entry == nullptr && shared_cache_ != nullptr) {
-        // Cross-session tier: an identical subgraph evaluated by any other
-        // session yields the same stamp and byte-identical outputs; adopt
-        // its entry into the local cache instead of firing.
-        if (MemoCache::EntryPtr shared = shared_cache_->Lookup(stamp)) {
-          entry = cache_->InsertEntry(box_id, std::move(shared));
-          shared_hits_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      if (entry != nullptr) {
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (metrics_ != nullptr) metrics_->RecordCacheHit();
+    auto start = std::chrono::steady_clock::now();
+    evaluated = dataflow::FireOrAdopt(*node.box, box_id, node.inputs, upstream,
+                                      ctx, *cache_, shared_cache_);
+    if (metrics_ != nullptr && evaluated.ok()) {
+      if (evaluated->outcome == dataflow::BoxOutcome::kFired) {
+        metrics_->RecordCacheMiss();
+        metrics_->RecordBoxFire(node.box->type_name(),
+                                std::chrono::duration<double, std::micro>(
+                                    std::chrono::steady_clock::now() - start)
+                                    .count());
       } else {
-        if (metrics_ != nullptr) metrics_->RecordCacheMiss();
-        std::vector<dataflow::PortType> input_types = node.box->InputTypes();
-        std::vector<BoxValue> inputs;
-        inputs.reserve(input_types.size());
-        for (size_t port = 0; port < input_types.size() && failure.ok(); ++port) {
-          Result<BoxValue> coerced = dataflow::CoerceBoxValue(
-              upstream[port]->outputs[node.inputs[port].from_port],
-              input_types[port]);
-          if (!coerced.ok()) {
-            failure = coerced.status();
-          } else {
-            inputs.push_back(std::move(coerced).value());
-          }
-        }
-        if (failure.ok()) {
-          auto start = std::chrono::steady_clock::now();
-          Result<std::vector<BoxValue>> outputs = node.box->Fire(inputs, ctx);
-          double micros = std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-          if (!ctx.warnings.empty()) {
-            std::lock_guard<std::mutex> lock(state->mu);
-            for (std::string& warning : ctx.warnings) {
-              state->fire_warnings.emplace_back(box_id, std::move(warning));
-            }
-          }
-          if (!outputs.ok()) {
-            failure = outputs.status();
-          } else {
-            boxes_fired_.fetch_add(1, std::memory_order_relaxed);
-            if (metrics_ != nullptr) {
-              metrics_->RecordBoxFire(node.box->type_name(), micros);
-            }
-            if (outputs->size() != node.box->OutputTypes().size()) {
-              failure = Status::Internal(
-                  "box '" + box_id + "' (" + node.box->type_name() +
-                  ") fired " + std::to_string(outputs->size()) +
-                  " outputs, declared " +
-                  std::to_string(node.box->OutputTypes().size()));
-            } else {
-              entry = cache_->Insert(box_id, stamp, std::move(outputs).value());
-              if (shared_cache_ != nullptr) shared_cache_->Insert(entry);
-            }
-          }
-        }
+        metrics_->RecordCacheHit();
       }
     }
   }
@@ -213,13 +148,19 @@ void ParallelEngine::FireBox(Plan* plan,
   size_t newly_ready = 0;
   {
     std::lock_guard<std::mutex> lock(state->mu);
-    if (!failure.ok()) {
+    for (std::string& warning : ctx.warnings) {
+      state->fire_warnings.emplace_back(box_id, std::move(warning));
+    }
+    if (aborted) {
+      // An earlier box failed; this one never ran.
+    } else if (!evaluated.ok()) {
       if (!state->has_error) {
         state->has_error = true;
-        state->error = std::move(failure);
+        state->error = evaluated.status();
       }
-    } else if (!aborted && entry != nullptr) {
-      state->done[box_id] = entry;
+    } else {
+      stats_.Record(evaluated->outcome);
+      state->done[box_id] = evaluated->entry;
       if (!state->has_error) {
         for (const std::string& dependent : node.dependents) {
           if (--state->deps.at(dependent) == 0) {
@@ -284,7 +225,7 @@ Status ParallelEngine::RunPlan(
 Result<BoxValue> ParallelEngine::Evaluate(const Graph& graph,
                                           const std::string& box_id,
                                           size_t output_port) {
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.evaluations;
   warnings_.clear();
   Plan plan;
   TIOGA2_RETURN_IF_ERROR(BuildPlan(graph, {box_id}, &plan));
@@ -299,41 +240,10 @@ Result<BoxValue> ParallelEngine::Evaluate(const Graph& graph,
 }
 
 Status ParallelEngine::EvaluateAll(const Graph& graph) {
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.evaluations;
   warnings_.clear();
-  TIOGA2_ASSIGN_OR_RETURN(std::vector<std::string> order,
-                          graph.TopologicalOrder());
-  // Same skip policy (and warnings) as the serial Engine: boxes with a
-  // dangling input, and boxes downstream of them, cannot fire.
-  std::vector<std::string> blocked = graph.BoxesWithDanglingInputs();
-  std::vector<std::string> targets;
-  for (const std::string& id : order) {
-    if (std::find(blocked.begin(), blocked.end(), id) != blocked.end()) {
-      boxes_skipped_.fetch_add(1, std::memory_order_relaxed);
-      warnings_.push_back("EvaluateAll: skipped box '" + id +
-                          "' (dangling input, cannot fire)");
-      continue;
-    }
-    TIOGA2_ASSIGN_OR_RETURN(const Box* box, graph.GetBox(id));
-    bool upstream_blocked = false;
-    size_t num_inputs = box->InputTypes().size();
-    for (size_t port = 0; port < num_inputs; ++port) {
-      std::optional<Edge> edge = graph.IncomingEdge(id, port);
-      if (edge.has_value() &&
-          std::find(blocked.begin(), blocked.end(), edge->from_box) !=
-              blocked.end()) {
-        upstream_blocked = true;
-      }
-    }
-    if (upstream_blocked) {
-      blocked.push_back(id);
-      boxes_skipped_.fetch_add(1, std::memory_order_relaxed);
-      warnings_.push_back("EvaluateAll: skipped box '" + id +
-                          "' (upstream of it has a dangling input)");
-      continue;
-    }
-    targets.push_back(id);
-  }
+  TIOGA2_ASSIGN_OR_RETURN(std::vector<std::string> targets,
+                          dataflow::RunnableBoxes(graph, &stats_, &warnings_));
   if (targets.empty()) return Status::OK();
   Plan plan;
   TIOGA2_RETURN_IF_ERROR(BuildPlan(graph, targets, &plan));
@@ -341,72 +251,23 @@ Status ParallelEngine::EvaluateAll(const Graph& graph) {
   return RunPlan(&plan, &done);
 }
 
-size_t ParallelEngine::InvalidateDownstreamOf(const Graph& graph,
-                                              const std::string& table) {
-  size_t evicted = 0;
-  for (const std::string& id : dataflow::BoxesDownstreamOfTable(graph, table)) {
-    if (cache_->StampOf(id).has_value()) {
-      cache_->Erase(id);
-      ++evicted;
-    }
-  }
-  return evicted;
-}
-
 Result<dataflow::InvalidationResult> ParallelEngine::Invalidate(
     const Graph& graph, const dataflow::Invalidation& inv) {
-  dataflow::InvalidationResult result;
-  switch (inv.scope()) {
-    case dataflow::Invalidation::Scope::kAll:
-      result.entries_evicted = cache_->size();
-      cache_->Clear();
-      return result;
-    case dataflow::Invalidation::Scope::kDownstreamOf:
-      result.entries_evicted = InvalidateDownstreamOf(graph, inv.table());
-      return result;
-    case dataflow::Invalidation::Scope::kDelta: {
-      db::ExecPolicy delta_policy = policy_.value_or(db::DefaultExecPolicy());
-      // Delta propagation runs on the calling thread, but any box it re-fires
-      // may still fan its morsels out across the pool.
-      if (delta_policy.runner == nullptr) delta_policy.runner = pool_;
-      TIOGA2_ASSIGN_OR_RETURN(
-          result, dataflow::PropagateDelta(graph, catalog_, inv.delta(), *cache_,
-                                           delta_policy));
-      deltas_applied_.fetch_add(result.deltas_applied, std::memory_order_relaxed);
-      delta_fallbacks_.fetch_add(result.delta_fallbacks, std::memory_order_relaxed);
-      if (metrics_ != nullptr) {
-        metrics_->RecordDeltaApplied(result.deltas_applied);
-        metrics_->RecordDeltaFallback(result.delta_fallbacks);
-      }
-      for (const std::string& warning : result.warnings) {
-        warnings_.push_back(warning);
-      }
-      return result;
-    }
+  db::ExecPolicy policy = policy_.value_or(db::DefaultExecPolicy());
+  // Delta propagation runs on the calling thread, but any box it re-fires
+  // may still fan its morsels out across the pool.
+  if (policy.runner == nullptr) policy.runner = pool_;
+  TIOGA2_ASSIGN_OR_RETURN(
+      dataflow::InvalidationResult result,
+      dataflow::InvalidateCache(graph, catalog_, inv, *cache_, policy));
+  stats_.deltas_applied += result.deltas_applied;
+  stats_.delta_fallbacks += result.delta_fallbacks;
+  if (metrics_ != nullptr) {
+    metrics_->RecordDeltaApplied(result.deltas_applied);
+    metrics_->RecordDeltaFallback(result.delta_fallbacks);
   }
-  return Status::Internal("unknown invalidation scope");
-}
-
-ParallelEngineStats ParallelEngine::stats() const {
-  ParallelEngineStats stats;
-  stats.boxes_fired = boxes_fired_.load(std::memory_order_relaxed);
-  stats.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  stats.shared_hits = shared_hits_.load(std::memory_order_relaxed);
-  stats.evaluations = evaluations_.load(std::memory_order_relaxed);
-  stats.boxes_skipped = boxes_skipped_.load(std::memory_order_relaxed);
-  stats.deltas_applied = deltas_applied_.load(std::memory_order_relaxed);
-  stats.delta_fallbacks = delta_fallbacks_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void ParallelEngine::ResetStats() {
-  boxes_fired_.store(0, std::memory_order_relaxed);
-  cache_hits_.store(0, std::memory_order_relaxed);
-  shared_hits_.store(0, std::memory_order_relaxed);
-  evaluations_.store(0, std::memory_order_relaxed);
-  boxes_skipped_.store(0, std::memory_order_relaxed);
-  deltas_applied_.store(0, std::memory_order_relaxed);
-  delta_fallbacks_.store(0, std::memory_order_relaxed);
+  warnings_.insert(warnings_.end(), result.warnings.begin(), result.warnings.end());
+  return result;
 }
 
 }  // namespace tioga2::runtime

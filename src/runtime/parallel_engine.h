@@ -1,7 +1,6 @@
 #ifndef TIOGA2_RUNTIME_PARALLEL_ENGINE_H_
 #define TIOGA2_RUNTIME_PARALLEL_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -20,32 +19,24 @@
 
 namespace tioga2::runtime {
 
-/// Snapshot of the parallel engine's counters (mirrors dataflow::EngineStats).
-struct ParallelEngineStats {
-  uint64_t boxes_fired = 0;
-  uint64_t cache_hits = 0;
-  uint64_t shared_hits = 0;  // subset of cache_hits served by the shared tier
-  uint64_t evaluations = 0;
-  uint64_t boxes_skipped = 0;
-  uint64_t deltas_applied = 0;
-  uint64_t delta_fallbacks = 0;
-};
-
-/// A dependency-counting parallel evaluator for boxes-and-arrows programs.
+/// A dependency-counting parallel scheduler for boxes-and-arrows programs:
+/// the second scheduler over the one fire-or-adopt core,
+/// dataflow::FireOrAdopt (the serial dataflow::Engine is the first).
 ///
 /// Evaluate() partitions the transitive input closure of the demanded box
-/// into ready sets: every box whose inputs are all available is fired
-/// concurrently on the ThreadPool, and a finished box decrements its
-/// dependents' counts, releasing them as they become ready. The calling
+/// into ready sets: every box whose inputs are all available is handed to
+/// FireOrAdopt concurrently on the ThreadPool, and a finished box decrements
+/// its dependents' counts, releasing them as they become ready. The calling
 /// thread participates in draining the ready queue, so evaluation makes
 /// progress (and cannot deadlock) even when every pool worker is occupied —
 /// e.g. when a SessionServer handler running on the pool evaluates through
 /// this engine.
 ///
-/// Memoization uses the same stamp algebra as the serial dataflow::Engine
-/// (dataflow/stamp.h) and the same MemoCache entry format, so a cache may be
-/// shared between the two: serial and parallel evaluation are bit-identical
-/// in both outputs and stamps (asserted by runtime_determinism_test).
+/// Stamps, memo lookup, shared-tier adoption, firing and invalidation are
+/// the core's, not this class's, so a MemoCache may be shared with a serial
+/// Engine: serial and parallel evaluation are bit-identical in both outputs
+/// and stamps (asserted by runtime_determinism_test). This class adds only
+/// the dependency counting, its locking and the Metrics recording.
 ///
 /// One Evaluate/EvaluateAll call runs at a time per instance (like the
 /// serial Engine); concurrency across clients is layered on top by
@@ -81,18 +72,8 @@ class ParallelEngine {
   /// serial Engine.
   Status EvaluateAll(const dataflow::Graph& graph);
 
-  /// Drops all cached outputs.
-  /// DEPRECATED: prefer Invalidate(graph, Invalidation::All()).
-  void InvalidateAll() { cache_->Clear(); }
-
-  /// Drops the cached outputs of every box downstream of a source box
-  /// reading `table`. Returns the number of entries evicted.
-  /// DEPRECATED: prefer Invalidate(graph, Invalidation::DownstreamOf(table)).
-  size_t InvalidateDownstreamOf(const dataflow::Graph& graph,
-                                const std::string& table);
-
-  /// The unified invalidation entry point, identical in semantics to
-  /// dataflow::Engine::Invalidate. Delta propagation (Invalidation::Delta)
+  /// The one invalidation entry point (dataflow::InvalidateCache on this
+  /// engine's cache), as dataflow::Engine::Invalidate. Delta propagation
   /// runs serially on the calling thread — the cost is O(touched boxes) on a
   /// single edited tuple, far below the plan-building overhead of a parallel
   /// walk — but maintains this engine's cache (shared or owned), so the next
@@ -116,8 +97,10 @@ class ParallelEngine {
   }
   dataflow::SharedMemoCache* shared_cache() const { return shared_cache_; }
 
-  ParallelEngineStats stats() const;
-  void ResetStats();
+  /// Tallied under the scheduler lock while an evaluation runs; read it
+  /// between evaluations.
+  const dataflow::EngineStats& stats() const { return stats_; }
+  void ResetStats() { stats_ = dataflow::EngineStats{}; }
 
   /// The memo cache (shared or owned).
   dataflow::MemoCache& cache() { return *cache_; }
@@ -150,8 +133,8 @@ class ParallelEngine {
   std::function<void()> MakeTicket(Plan* plan,
                                    std::shared_ptr<RunState> state);
 
-  /// Evaluates one box (cache lookup or fire), records the result, and
-  /// releases any dependents that became ready.
+  /// Evaluates one box through dataflow::FireOrAdopt, records the result,
+  /// and releases any dependents that became ready.
   void FireBox(Plan* plan, const std::shared_ptr<RunState>& state,
                const std::string& box_id);
 
@@ -164,13 +147,7 @@ class ParallelEngine {
 
   std::optional<db::ExecPolicy> policy_;
 
-  std::atomic<uint64_t> boxes_fired_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> shared_hits_{0};
-  std::atomic<uint64_t> evaluations_{0};
-  std::atomic<uint64_t> boxes_skipped_{0};
-  std::atomic<uint64_t> deltas_applied_{0};
-  std::atomic<uint64_t> delta_fallbacks_{0};
+  dataflow::EngineStats stats_;
   std::vector<std::string> warnings_;
 };
 

@@ -105,9 +105,8 @@ class SessionServer {
   /// A request body. The Status it returns is delivered through the future.
   using Handler = std::function<Status(Session&)>;
 
-  /// A typed request — the one Submit entry point. Replaces the old
-  /// positional (handler, access, deadline) signature, which could not grow
-  /// a field without breaking every call site.
+  /// A typed request — the one Submit entry point. A new field gets a
+  /// default, so adding one breaks no call site.
   struct Request {
     /// The request body; must be non-null.
     Handler handler;
@@ -149,15 +148,6 @@ class SessionServer {
   /// admission bound, so a burst of submits to unknown or closed sessions
   /// cannot consume queue slots and spuriously reject valid traffic.
   std::future<Status> Submit(const std::string& session_id, Request request);
-
-  /// DEPRECATED positional overload, kept for one release: forwards to the
-  /// Request overload with default priority and no tag. New code should
-  /// submit a Request — it is the only signature that carries priority and
-  /// the request-class tag.
-  std::future<Status> Submit(const std::string& session_id, Handler handler,
-                             Access access = Access::kRead,
-                             std::chrono::milliseconds deadline =
-                                 std::chrono::milliseconds{0});
 
   /// Blocking convenience: evaluates the displayable on `canvas_name` in
   /// `session_id` through the session's engine.

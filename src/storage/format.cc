@@ -36,6 +36,27 @@ enum CellTag : uint8_t {
   kTagDate = 5,
 };
 
+// The fewest bytes one row of a `type` column encodes to (a string is at
+// least its length prefix). Display columns never decode; 1 keeps the
+// count check below from masking that error.
+size_t MinCellBytes(DataType type) {
+  switch (type) {
+    case DataType::kBool:
+    case DataType::kDisplay:
+      return 1;
+    case DataType::kString:
+      return 4;
+    case DataType::kInt:
+    case DataType::kFloat:
+    case DataType::kDate:
+      return 8;
+  }
+  return 1;
+}
+
+// A column header is at least a 4-byte name length and a type byte.
+constexpr size_t kMinColumnHeaderBytes = 5;
+
 }  // namespace
 
 uint32_t Crc32(std::string_view data, uint32_t seed) {
@@ -209,6 +230,12 @@ Status EncodeTuple(const db::Tuple& tuple, Encoder* enc) {
 
 Result<db::Tuple> DecodeTuple(Decoder* dec) {
   TIOGA2_ASSIGN_OR_RETURN(uint32_t arity, dec->GetU32());
+  // Every cell is at least its tag byte: bound the count before reserving.
+  if (arity > dec->remaining()) {
+    return Status::ParseError("tuple claims " + std::to_string(arity) +
+                              " cells, but only " +
+                              std::to_string(dec->remaining()) + " bytes remain");
+  }
   db::Tuple tuple;
   tuple.reserve(arity);
   for (uint32_t c = 0; c < arity; ++c) {
@@ -220,6 +247,12 @@ Result<db::Tuple> DecodeTuple(Decoder* dec) {
 
 Status EncodeRelation(const db::Relation& relation, Encoder* enc) {
   const db::Schema& schema = *relation.schema();
+  if (schema.num_columns() == 0 && relation.num_rows() != 0) {
+    // Its rows would encode to no bytes, so the decoder could not bound
+    // their count by the payload size (see DecodeRelation).
+    return Status::InvalidArgument(
+        "a relation with no columns persists only when it has no rows");
+  }
   enc->PutU32(static_cast<uint32_t>(schema.num_columns()));
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     if (schema.column(c).type == DataType::kDisplay) {
@@ -264,6 +297,14 @@ Status EncodeRelation(const db::Relation& relation, Encoder* enc) {
 
 Result<db::RelationPtr> DecodeRelation(Decoder* dec) {
   TIOGA2_ASSIGN_OR_RETURN(uint32_t num_columns, dec->GetU32());
+  // Counts are checked against the bytes that could encode them before
+  // anything is allocated, so a corrupt header is a ParseError, not a
+  // multi-terabyte allocation.
+  if (num_columns > dec->remaining() / kMinColumnHeaderBytes) {
+    return Status::ParseError("relation claims " + std::to_string(num_columns) +
+                              " columns, but only " +
+                              std::to_string(dec->remaining()) + " bytes remain");
+  }
   std::vector<db::Column> columns;
   columns.reserve(num_columns);
   for (uint32_t c = 0; c < num_columns; ++c) {
@@ -277,6 +318,28 @@ Result<db::RelationPtr> DecodeRelation(Decoder* dec) {
   TIOGA2_ASSIGN_OR_RETURN(db::Schema schema, db::Schema::Make(std::move(columns)));
   auto schema_ptr = std::make_shared<const db::Schema>(std::move(schema));
   TIOGA2_ASSIGN_OR_RETURN(uint64_t num_rows, dec->GetU64());
+  if (schema_ptr->num_columns() == 0) {
+    // Rows of no columns encode to no bytes; EncodeRelation never writes
+    // such rows, so a nonzero count is corrupt.
+    if (num_rows != 0) {
+      return Status::ParseError("relation with no columns claims " +
+                                std::to_string(num_rows) + " rows");
+    }
+  } else {
+    // Each column spends a has-nulls byte, then each row its cell bytes.
+    size_t row_bytes = 0;
+    for (size_t c = 0; c < schema_ptr->num_columns(); ++c) {
+      row_bytes += MinCellBytes(schema_ptr->column(c).type);
+    }
+    const size_t flag_bytes = schema_ptr->num_columns();
+    if (dec->remaining() < flag_bytes ||
+        num_rows > (dec->remaining() - flag_bytes) / row_bytes) {
+      return Status::ParseError(
+          "relation claims " + std::to_string(num_rows) + " rows of at least " +
+          std::to_string(row_bytes) + " bytes, but only " +
+          std::to_string(dec->remaining()) + " bytes remain");
+    }
+  }
   const size_t null_words = (num_rows + 63) / 64;
 
   // Decode into per-column tuples-in-waiting: a column-major pass that

@@ -179,18 +179,20 @@ TEST_F(EngineTest, InvalidateDownstreamOfEvictsOnlyAffectedBoxes) {
   ASSERT_TRUE(RowsOf(&engine, u_tail).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 4u);
   // Evicts exactly U's chain: the table box and its downstream restrict.
-  EXPECT_EQ(engine.InvalidateDownstreamOf(graph_, "U"), 2u);
+  EXPECT_EQ(engine.Invalidate(graph_, dataflow::Invalidation::DownstreamOf("U"))
+                ->entries_evicted,
+            2u);
   ASSERT_TRUE(RowsOf(&engine, u_tail).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 6u);  // u + u_tail re-fired
   ASSERT_TRUE(RowsOf(&engine, t_tail).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 6u);  // T's chain stayed memoized
 }
 
-TEST_F(EngineTest, InvalidateAllForcesRecompute) {
+TEST_F(EngineTest, InvalidationAllForcesRecompute) {
   std::string table = graph_.AddBox(std::make_unique<TableBox>("T")).value();
   Engine engine(&catalog_);
   ASSERT_TRUE(RowsOf(&engine, table).ok());
-  engine.InvalidateAll();
+  ASSERT_TRUE(engine.Invalidate(graph_, dataflow::Invalidation::All()).ok());
   ASSERT_TRUE(RowsOf(&engine, table).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 2u);
   EXPECT_EQ(engine.stats().cache_hits, 0u);

@@ -90,6 +90,42 @@ TEST(RobustnessTest, DeeplyNestedExpressionParses) {
   EXPECT_TRUE(expr::AnalyzeExpr(ast->get(), env).ok());
 }
 
+TEST(RobustnessTest, PathologicalNestingIsAParseErrorNotACrash) {
+  // The parser recurses once per level of each construct; past the bound
+  // it must return a ParseError rather than overflow the stack.
+  const size_t kDeep = 20000;
+  auto repeat = [](const std::string& piece, size_t n) {
+    std::string out;
+    out.reserve(piece.size() * n);
+    for (size_t i = 0; i < n; ++i) out += piece;
+    return out;
+  };
+  const std::string cases[] = {
+      repeat("(", kDeep) + "1" + repeat(")", kDeep),
+      repeat("-", kDeep) + "1",
+      repeat("not ", kDeep) + "true",
+      repeat("abs(", kDeep) + "1" + repeat(")", kDeep),
+  };
+  for (const std::string& source : cases) {
+    auto ast = expr::ParseExpr(source);
+    ASSERT_FALSE(ast.ok()) << source.substr(0, 12);
+    EXPECT_TRUE(ast.status().IsParseError()) << ast.status().ToString();
+  }
+}
+
+TEST(RobustnessTest, NestingBoundIsExact) {
+  auto nested = [](size_t depth) {
+    return std::string(depth, '(') + "1" + std::string(depth, ')');
+  };
+  EXPECT_TRUE(expr::ParseExpr(nested(expr::kMaxExprNesting)).ok());
+  EXPECT_TRUE(
+      expr::ParseExpr(nested(expr::kMaxExprNesting + 1)).status().IsParseError());
+  // Levels are counted while open, not in total: many shallow groups parse.
+  std::string wide = "1";
+  for (size_t i = 0; i < 4 * expr::kMaxExprNesting; ++i) wide += " + (-(1))";
+  EXPECT_TRUE(expr::ParseExpr(wide).ok());
+}
+
 TEST(RobustnessTest, HugeStringsSurvive) {
   std::string big(100000, 'x');
   auto relation =

@@ -61,12 +61,18 @@ TEST(RuntimeDeterminismTest, ParallelMatchesSerialOnEveryFigProgram) {
     std::vector<Target> targets = TargetsOf(serial_session.graph());
     ASSERT_EQ(targets.size(), program.canvases.size());
     std::map<std::string, std::string> expected;
+    const uint64_t fired_before = serial_session.engine().stats().boxes_fired;
     for (const Target& t : targets) {
       auto value = serial_session.engine().Evaluate(serial_session.graph(),
                                                     t.from, t.from_port);
       ASSERT_TRUE(value.ok()) << t.canvas << ": " << value.status().message();
       expected[t.canvas] = FingerprintBoxValue(value.value());
     }
+    // Both schedulers report dataflow::EngineStats. Fires must agree; hits
+    // need not — the plan dedups a diamond's shared input, which the serial
+    // walk visits (and counts as a hit) once per path.
+    const uint64_t serial_fired =
+        serial_session.engine().stats().boxes_fired - fired_before;
     std::map<std::string, std::optional<uint64_t>> expected_stamps;
     for (const std::string& id : serial_session.graph().BoxIds()) {
       expected_stamps[id] = serial_session.engine().cache().StampOf(id);
@@ -91,6 +97,7 @@ TEST(RuntimeDeterminismTest, ParallelMatchesSerialOnEveryFigProgram) {
         ASSERT_EQ(expected_stamps.count(id), 1u) << id;
         EXPECT_EQ(engine.cache().StampOf(id), expected_stamps.at(id)) << id;
       }
+      EXPECT_EQ(engine.stats().boxes_fired, serial_fired);
     }
   }
 }

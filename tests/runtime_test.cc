@@ -137,7 +137,7 @@ TEST_F(ParallelEngineTest, SharesCacheWithSerialEngine) {
   EXPECT_EQ(serial.stats().boxes_fired, 0u);
   EXPECT_GE(serial.stats().cache_hits, 1u);
   // And the reverse direction: serial work is visible to the parallel engine.
-  serial.InvalidateAll();
+  ASSERT_TRUE(serial.Invalidate(graph_, dataflow::Invalidation::All()).ok());
   ASSERT_TRUE(RowsOf(serial.Evaluate(graph_, tail, 0)).ok());
   parallel.ResetStats();
   ASSERT_TRUE(RowsOf(parallel.Evaluate(graph_, tail, 0)).ok());
@@ -209,7 +209,9 @@ TEST_F(ParallelEngineTest, InvalidateDownstreamOfEvictsOnlyAffectedBoxes) {
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, t_tail, 0)).ok());
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, u_tail, 0)).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 4u);
-  EXPECT_EQ(engine.InvalidateDownstreamOf(graph_, "U"), 2u);
+  EXPECT_EQ(engine.Invalidate(graph_, dataflow::Invalidation::DownstreamOf("U"))
+                ->entries_evicted,
+            2u);
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, u_tail, 0)).ok());
   EXPECT_EQ(engine.stats().boxes_fired, 6u);  // U's chain re-fired
   ASSERT_TRUE(RowsOf(engine.Evaluate(graph_, t_tail, 0)).ok());

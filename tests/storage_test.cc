@@ -123,6 +123,62 @@ TEST(StorageFormatTest, RelationRoundTripsValueIdentically) {
   EXPECT_EQ(*fp1, *fp2);
 }
 
+TEST(StorageFormatTest, CorruptCountsAreParseErrorsNotAllocations) {
+  // 18 bytes: one bool column "x", then a row count of 2^40. A count the
+  // payload cannot hold must fail before anything is allocated for it.
+  Encoder rows;
+  rows.PutU32(1);
+  rows.PutString("x");
+  rows.PutU8(static_cast<uint8_t>(types::DataType::kBool));
+  rows.PutU64(uint64_t{1} << 40);
+  ASSERT_EQ(rows.data().size(), 18u);
+  Decoder rows_dec(rows.data());
+  auto relation = DecodeRelation(&rows_dec);
+  ASSERT_FALSE(relation.ok());
+  EXPECT_TRUE(relation.status().IsParseError()) << relation.status().ToString();
+
+  Encoder columns;
+  columns.PutU32(0xFFFFFFFFu);
+  Decoder columns_dec(columns.data());
+  EXPECT_TRUE(DecodeRelation(&columns_dec).status().IsParseError());
+
+  Encoder cells;
+  cells.PutU32(0xFFFFFFFFu);
+  cells.PutU8(0);
+  Decoder cells_dec(cells.data());
+  EXPECT_TRUE(DecodeTuple(&cells_dec).status().IsParseError());
+
+  // Rows of no columns encode to no bytes, so they are refused both ways.
+  Encoder no_columns;
+  no_columns.PutU32(0);
+  no_columns.PutU64(uint64_t{1} << 40);
+  Decoder no_columns_dec(no_columns.data());
+  EXPECT_TRUE(DecodeRelation(&no_columns_dec).status().IsParseError());
+  Encoder refused;
+  EXPECT_TRUE(EncodeRelation(*db::MakeRelation({}, {{}, {}}).value(), &refused)
+                  .IsInvalidArgument());
+  Encoder empty;
+  ASSERT_TRUE(EncodeRelation(*db::MakeRelation({}, {}).value(), &empty).ok());
+  Decoder empty_dec(empty.data());
+  auto decoded = DecodeRelation(&empty_dec);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ((*decoded)->num_rows(), 0u);
+
+  // The bound is exact: a count the payload can just hold still decodes.
+  Encoder exact;
+  exact.PutU32(1);
+  exact.PutString("b");
+  exact.PutU8(static_cast<uint8_t>(types::DataType::kBool));
+  exact.PutU64(3);
+  exact.PutU8(0);  // no null bitmap
+  for (int r = 0; r < 3; ++r) exact.PutU8(1);
+  Decoder exact_dec(exact.data());
+  auto three = DecodeRelation(&exact_dec);
+  ASSERT_TRUE(three.ok()) << three.status().ToString();
+  EXPECT_EQ((*three)->num_rows(), 3u);
+  EXPECT_TRUE(exact_dec.done());
+}
+
 TEST(StorageFormatTest, FingerprintSeesValueAndOrderChanges) {
   auto a = db::MakeRelation({db::Column{"x", types::DataType::kInt}},
                             {{Value::Int(1)}, {Value::Int(2)}});
