@@ -8,7 +8,6 @@
 #include "bench/bench_common.h"
 
 #include <chrono>
-#include <fstream>
 
 #include "db/operators.h"
 #include "display/display_relation.h"
@@ -142,8 +141,7 @@ void WriteBatchReport() {
                      ",\"computed_attr\":{\"scalar_us\":" + std::to_string(scalar_us) +
                      ",\"batch_us\":" + std::to_string(batch_us) +
                      ",\"speedup\":" + std::to_string(scalar_us / batch_us) + "}}";
-  std::ofstream out(OutDir() + "/ablation_expr_batch.json");
-  out << json << "\n";
+  WriteJsonReport(OutDir() + "/ablation_expr_batch.json", json);
   std::printf(
       "  computed attribute: %.0f us scalar vs %.0f us batch (%.2fx) "
       "-> bench_out/ablation_expr_batch.json\n",

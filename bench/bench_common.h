@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,22 @@ inline std::string OutDir() {
   std::error_code ec;
   std::filesystem::create_directories("bench_out", ec);
   return "bench_out";
+}
+
+/// Writes `json` and a trailing newline to `path`, creating the parent
+/// directory first. Any failure is fatal: the bench exits non-zero rather
+/// than report success with its JSON missing or truncated.
+inline void WriteJsonReport(const std::string& path, const std::string& json) {
+  std::filesystem::path parent = std::filesystem::path(path).parent_path();
+  std::error_code ec;
+  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
+  std::ofstream out(path);
+  out << json << "\n";
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "FATAL cannot write JSON report %s\n", path.c_str());
+    std::exit(1);
+  }
 }
 
 inline void ReportHeader(const char* id, const char* paper_content) {

@@ -10,7 +10,6 @@
 #include "bench/bench_common.h"
 
 #include <chrono>
-#include <fstream>
 
 #include "dataflow/engine.h"
 #include "testing/fig_programs.h"
@@ -110,8 +109,7 @@ void Report() {
                      ",\"recompute_us\":" + std::to_string(recompute_us) +
                      ",\"delta_us\":" + std::to_string(delta_us) +
                      ",\"speedup\":" + std::to_string(speedup) + "}";
-  std::ofstream out(OutDir() + "/delta_update.json");
-  out << json << "\n";
+  WriteJsonReport(OutDir() + "/delta_update.json", json);
   std::printf(
       "  single-station edit on fig07 (%zu stations): %.0f us full recompute "
       "vs %.0f us delta (%.1fx) -> bench_out/delta_update.json\n",

@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -372,9 +371,7 @@ int Run(int argc, char** argv) {
       ",\"dict_simd_batches\":" + std::to_string(fig_off.dict_simd_batches) +
       ",\"dict_columns_built\":" + std::to_string(fig_off.dict_columns_built) +
       "}}}";
-  std::ofstream out(config.out);
-  out << json << "\n";
-  out.close();
+  WriteJsonReport(config.out, json);
 
   std::printf(
       "  categorical restrict (%zu rows): %.0f us scalar, %.0f us plain "

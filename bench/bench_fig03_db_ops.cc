@@ -9,7 +9,6 @@
 #include "bench/bench_common.h"
 
 #include <chrono>
-#include <fstream>
 
 #include "db/aggregates.h"
 #include "db/operators.h"
@@ -139,8 +138,7 @@ void WriteColumnarReport() {
   json += section("restrict_half_selectivity", half_scalar_us, half_vec_us) + ",";
   json += section("restrict_compound", compound_scalar_us, compound_vec_us) + ",";
   json += section("sort", sort_scalar_us, sort_vec_us) + "}";
-  std::ofstream out(OutDir() + "/fig03_columnar.json");
-  out << json << "\n";
+  WriteJsonReport(OutDir() + "/fig03_columnar.json", json);
   std::printf(
       "  columnar restrict: %.0f us scalar vs %.0f us vectorized (%.2fx "
       "selective); half-selectivity %.2fx; compound %.2fx; sort %.2fx "

@@ -14,7 +14,6 @@
 #include "bench/bench_common.h"
 
 #include <chrono>
-#include <fstream>
 
 #include "db/operators.h"
 
@@ -97,8 +96,7 @@ void WriteJoinReport() {
   json += ",\"speedup_view\":" + std::to_string(scalar_us / vectorized_us);
   json += ",\"speedup_gathered\":" + std::to_string(scalar_us / vectorized_gather_us);
   json += "}";
-  std::ofstream out(OutDir() + "/join_columnar.json");
-  out << json << "\n";
+  WriteJsonReport(OutDir() + "/join_columnar.json", json);
   std::printf(
       "  join %zu x %zu -> %zu rows: %.0f us row-store vs %.0f us columnar "
       "view (%.2fx), %.0f us with all columns gathered (%.2fx) "

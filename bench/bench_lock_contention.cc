@@ -1,26 +1,33 @@
-// Lock-contention reproduction for the DESIGN.md §13 lock-free read paths:
-// sweeps shared-memo-cache lookup throughput and catalog name-resolution
-// throughput at 1 / 8 / 32 reader threads, comparing the epoch-reclaimed
-// lock-free structures against in-bench mutex/shared_mutex baselines that
-// model the pre-§13 synchronization (one mutex around the memo tier, a
-// readers-writer lock around the catalog).
+// Lock-contention reproduction for the DESIGN.md §13 read paths: sweeps
+// shared-memo-cache lookup throughput and catalog name-resolution throughput
+// at 1 / 8 / 32 reader threads, comparing the sharded-LRU memo tier and the
+// thread-cached catalog snapshots against in-bench baselines that model the
+// older synchronization (one mutex around the memo tier, a readers-writer
+// lock around the catalog).
 //
 //   bench_lock_contention [--ops=N] [--entries=N] [--tables=N]
 //                         [--smoke] [--out=PATH]
 //
+// Thread t's i-th lookup is entry Mix(t*1000003 + i) mod N (stamp
+// Mix(Mix(t*1000003 + i) mod N)): a per-thread pseudo-random walk, so
+// threads do not march over neighbouring entries in lockstep. Every sweep
+// point runs kRepetitions times, interleaved across thread counts so host
+// drift hits all points alike; the JSON records the median and p10/p90 of
+// each point, plus a spin-loop probe of how much parallelism the host
+// actually delivered during the run.
+//
 // --smoke shrinks the op counts for CI (scripts/check.sh `contention`) and
-// turns on the gate assertions: the JSON must be written, and the 8-thread
-// lock-free throughput must hold parity with 1 thread (margin below) —
-// i.e. adding readers must not collapse the structure back to serialized.
-// On a multi-core host the lock-free sweep separates further from the mutex
-// baseline as threads grow; on a 1-core container the gate is parity, since
-// time-slicing cannot add throughput. Emits bench_out/lock_contention.json.
+// turns on the gate assertions: the median 8-thread throughput must hold
+// parity with the median 1-thread throughput (margin below) — i.e. adding
+// readers must not collapse the structure back to serialized — and every
+// lookup must hit and every resolution find its table. On a 1-core host the
+// gate is parity, since time-slicing cannot add throughput. Emits
+// bench_out/lock_contention.json.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -34,7 +41,6 @@
 #include "dataflow/shared_memo_cache.h"
 #include "db/catalog.h"
 #include "db/relation.h"
-#include "runtime/epoch.h"
 
 namespace tioga2::bench {
 namespace {
@@ -43,6 +49,9 @@ namespace {
 /// structure, so aggregate throughput should match one thread; the margin
 /// absorbs scheduler noise on a loaded CI box.
 constexpr double kSmokeParityMargin = 0.75;
+
+/// Repetitions of every sweep point; the gate reads their median.
+constexpr size_t kRepetitions = 5;
 
 struct Config {
   size_t ops_per_thread = 400000;
@@ -93,11 +102,22 @@ uint64_t Mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Runs `op` ops_per_thread times on each of `threads` threads; returns
-/// aggregate ops/second. `op(thread_index, i)` must consume its result into
-/// `sink` itself to defeat dead-code elimination.
+/// Thread `t`'s `i`-th key in [0, n): a per-thread pseudo-random walk.
+size_t KeyIndex(size_t t, size_t i, size_t n) {
+  return static_cast<size_t>(Mix(t * 1000003 + i) % n);
+}
+
+/// One timed run: aggregate throughput and the sum of the ops' results.
+struct SweepRun {
+  double ops_per_sec = 0;
+  uint64_t sink = 0;
+};
+
+/// Runs `op` ops_per_thread times on each of `threads` threads. `op(t, i)`
+/// returns 1 on success; the sum lands in SweepRun::sink, which also keeps
+/// the ops observable to the optimizer.
 template <typename Op>
-double Sweep(size_t threads, size_t ops_per_thread, Op op) {
+SweepRun Sweep(size_t threads, size_t ops_per_thread, Op op) {
   std::atomic<uint64_t> sink{0};
   std::vector<std::thread> workers;
   workers.reserve(threads);
@@ -113,9 +133,48 @@ double Sweep(size_t threads, size_t ops_per_thread, Op op) {
   double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  if (sink.load() == ~uint64_t{0}) std::printf("(impossible)\n");
   double total = static_cast<double>(threads) * static_cast<double>(ops_per_thread);
-  return seconds > 0 ? total / seconds : 0.0;
+  return SweepRun{seconds > 0 ? total / seconds : 0.0, sink.load()};
+}
+
+std::atomic<uint64_t> spin_sink{0};  // keeps the spin loops observable
+
+void Spin(uint64_t iterations) {
+  uint64_t x = 88172645463325252ull;
+  for (uint64_t i = 0; i < iterations; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  spin_sink.fetch_add(x, std::memory_order_relaxed);
+}
+
+/// A fixed spin timed on one thread and then on `threads` threads at once:
+/// parallelism = threads x single / parallel, the number of CPUs the host
+/// actually gave the run (1.0 on one core, `threads` on an idle many-core
+/// host).
+double ParallelismProbe(size_t threads, uint64_t iterations) {
+  auto ms_since = [](std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  auto start = std::chrono::steady_clock::now();
+  Spin(iterations);
+  double single = ms_since(start);
+  start = std::chrono::steady_clock::now();
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < threads; ++t) workers.emplace_back(Spin, iterations);
+  for (auto& w : workers) w.join();
+  double parallel = ms_since(start);
+  return parallel > 0 ? static_cast<double>(threads) * single / parallel : 0.0;
+}
+
+/// Nearest-rank quantile of `values` (copied, so callers keep their order).
+double Quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  size_t rank = static_cast<size_t>(q * static_cast<double>(values.size() - 1) + 0.5);
+  return values[rank];
 }
 
 /// The pre-§13 memo tier in miniature: one mutex around an unordered_map,
@@ -144,22 +203,30 @@ class MutexMemoBaseline {
   uint64_t misses_ = 0;
 };
 
-struct SweepResult {
+/// One sweep point: every repetition's throughput for the structure under
+/// test and for its baseline.
+struct SweepPoint {
   size_t threads = 0;
-  double lockfree_ops = 0;
-  double baseline_ops = 0;
+  std::vector<double> ops;
+  std::vector<double> baseline_ops;
 };
 
-std::string SweepJson(const std::vector<SweepResult>& rows) {
+std::string SpreadJson(const char* name, const std::vector<double>& values) {
+  char buffer[160];
+  std::snprintf(buffer, sizeof(buffer),
+                "\"%s\":%.0f,\"%s_p10\":%.0f,\"%s_p90\":%.0f", name,
+                Quantile(values, 0.5), name, Quantile(values, 0.1), name,
+                Quantile(values, 0.9));
+  return buffer;
+}
+
+std::string SweepJson(const std::vector<SweepPoint>& points) {
   std::string json = "[";
-  for (size_t i = 0; i < rows.size(); ++i) {
+  for (size_t i = 0; i < points.size(); ++i) {
     if (i > 0) json += ',';
-    char buffer[160];
-    std::snprintf(buffer, sizeof(buffer),
-                  "{\"threads\":%zu,\"lockfree_ops_per_sec\":%.0f,"
-                  "\"baseline_ops_per_sec\":%.0f}",
-                  rows[i].threads, rows[i].lockfree_ops, rows[i].baseline_ops);
-    json += buffer;
+    json += "{\"threads\":" + std::to_string(points[i].threads) + "," +
+            SpreadJson("ops_per_sec", points[i].ops) + "," +
+            SpreadJson("baseline_ops_per_sec", points[i].baseline_ops) + "}";
   }
   json += "]";
   return json;
@@ -169,15 +236,17 @@ int Run(int argc, char** argv) {
   Config config = ParseFlags(argc, argv);
   ReportHeader("lock-contention (DESIGN.md §13)",
                "read-dominated hot paths must scale with reader threads");
-  std::printf("  ops/thread=%zu entries=%zu tables=%zu%s\n",
+  std::printf("  ops/thread=%zu entries=%zu tables=%zu repetitions=%zu%s\n",
               config.ops_per_thread, config.entries, config.tables,
-              config.smoke ? " (smoke)" : "");
+              kRepetitions, config.smoke ? " (smoke)" : "");
 
   const std::vector<size_t> thread_counts = {1, 8, 32};
-  runtime::EpochDomain domain(128);
 
   // ---- Workload 1: shared-memo lookup (hot path of every box eval) ----
-  dataflow::SharedMemoCache shared(config.entries, &domain);
+  // Twice the population in capacity: each shard holds its share of the
+  // capacity, and the sweep times hits on resident entries, so no shard
+  // may overflow from the luck of the hash.
+  dataflow::SharedMemoCache shared(2 * config.entries);
   MutexMemoBaseline baseline;
   for (size_t s = 0; s < config.entries; ++s) {
     auto entry = std::make_shared<dataflow::MemoCache::Entry>();
@@ -186,28 +255,8 @@ int Run(int argc, char** argv) {
     baseline.Insert(entry->stamp, entry);
   }
 
-  std::vector<SweepResult> memo;
-  for (size_t threads : thread_counts) {
-    SweepResult row;
-    row.threads = threads;
-    row.lockfree_ops =
-        Sweep(threads, config.ops_per_thread, [&](size_t t, size_t i) {
-          uint64_t stamp = Mix((t * 0x10001 + i) % config.entries);
-          return shared.Lookup(stamp) != nullptr ? 1u : 0u;
-        });
-    row.baseline_ops =
-        Sweep(threads, config.ops_per_thread, [&](size_t t, size_t i) {
-          uint64_t stamp = Mix((t * 0x10001 + i) % config.entries);
-          return baseline.Lookup(stamp) != nullptr ? 1u : 0u;
-        });
-    std::printf("  memo    %2zu threads: lock-free %12.0f ops/s | mutex %12.0f ops/s\n",
-                threads, row.lockfree_ops, row.baseline_ops);
-    memo.push_back(row);
-  }
-
   // ---- Workload 2: catalog name resolution (stamp + fetch per request) ----
   db::Catalog catalog;
-  catalog.set_reclamation_domain(&domain);
   std::vector<std::string> names;
   for (size_t i = 0; i < config.tables; ++i) {
     auto relation = db::MakeRelation({db::Column{"v", types::DataType::kInt}},
@@ -219,72 +268,108 @@ int Run(int argc, char** argv) {
   }
   std::shared_mutex catalog_mu;  // models the old per-request reader lock
 
-  std::vector<SweepResult> resolve;
-  for (size_t threads : thread_counts) {
-    SweepResult row;
-    row.threads = threads;
-    // Lock-free: the SessionServer kRead path — one ReadPin, then the
-    // TableVersion + GetTable pair every TableBox evaluation performs.
-    row.lockfree_ops =
-        Sweep(threads, config.ops_per_thread, [&](size_t t, size_t i) {
-          const std::string& name = names[(t + i) % names.size()];
-          db::Catalog::ReadPin pin(catalog);
-          uint64_t version = catalog.TableVersion(name).value();
-          return catalog.GetTable(name).ok() ? (version != 0 ? 1u : 0u) : 0u;
-        });
-    // Baseline: the same reads under a shared_lock, as session_server.cc
-    // took before §13.
-    row.baseline_ops =
-        Sweep(threads, config.ops_per_thread, [&](size_t t, size_t i) {
-          const std::string& name = names[(t + i) % names.size()];
-          std::shared_lock<std::shared_mutex> lock(catalog_mu);
-          uint64_t version = catalog.TableVersion(name).value();
-          return catalog.GetTable(name).ok() ? (version != 0 ? 1u : 0u) : 0u;
-        });
-    std::printf("  catalog %2zu threads: lock-free %12.0f ops/s | rwlock %12.0f ops/s\n",
-                threads, row.lockfree_ops, row.baseline_ops);
-    resolve.push_back(row);
+  auto memo_op = [&](size_t t, size_t i) -> uint64_t {
+    uint64_t stamp = Mix(KeyIndex(t, i, config.entries));
+    return shared.Lookup(stamp) != nullptr ? 1 : 0;
+  };
+  auto memo_baseline_op = [&](size_t t, size_t i) -> uint64_t {
+    uint64_t stamp = Mix(KeyIndex(t, i, config.entries));
+    return baseline.Lookup(stamp) != nullptr ? 1 : 0;
+  };
+  // The SessionServer kRead path: one ReadPin, then the TableVersion +
+  // GetTable pair every TableBox evaluation performs.
+  auto resolve_op = [&](size_t t, size_t i) -> uint64_t {
+    const std::string& name = names[KeyIndex(t, i, names.size())];
+    db::Catalog::ReadPin pin(catalog);
+    auto version = catalog.TableVersion(name);
+    return version.ok() && catalog.GetTable(name).ok() ? 1 : 0;
+  };
+  // Baseline: the same reads under a shared_lock, as the SessionServer took
+  // before readers pinned snapshots.
+  auto resolve_baseline_op = [&](size_t t, size_t i) -> uint64_t {
+    const std::string& name = names[KeyIndex(t, i, names.size())];
+    std::shared_lock<std::shared_mutex> lock(catalog_mu);
+    auto version = catalog.TableVersion(name);
+    return version.ok() && catalog.GetTable(name).ok() ? 1 : 0;
+  };
+
+  std::vector<SweepPoint> memo(thread_counts.size());
+  std::vector<SweepPoint> resolve(thread_counts.size());
+  size_t short_sinks = 0;  // sweeps where some op missed
+  auto run = [&](size_t threads, auto op, std::vector<double>* out) {
+    SweepRun result = Sweep(threads, config.ops_per_thread, op);
+    if (result.sink != threads * config.ops_per_thread) ++short_sinks;
+    out->push_back(result.ops_per_sec);
+  };
+  for (size_t rep = 0; rep < kRepetitions; ++rep) {
+    for (size_t p = 0; p < thread_counts.size(); ++p) {
+      size_t threads = thread_counts[p];
+      memo[p].threads = resolve[p].threads = threads;
+      run(threads, memo_op, &memo[p].ops);
+      run(threads, memo_baseline_op, &memo[p].baseline_ops);
+      run(threads, resolve_op, &resolve[p].ops);
+      run(threads, resolve_baseline_op, &resolve[p].baseline_ops);
+    }
+  }
+  for (const SweepPoint& point : memo) {
+    std::printf("  memo    %2zu threads: sharded LRU %12.0f ops/s | mutex  %12.0f ops/s (medians)\n",
+                point.threads, Quantile(point.ops, 0.5),
+                Quantile(point.baseline_ops, 0.5));
+  }
+  for (const SweepPoint& point : resolve) {
+    std::printf("  catalog %2zu threads: pinned     %12.0f ops/s | rwlock %12.0f ops/s (medians)\n",
+                point.threads, Quantile(point.ops, 0.5),
+                Quantile(point.baseline_ops, 0.5));
   }
 
-  runtime::EpochDomain::Stats epoch = domain.stats();
+  const size_t probe_threads = thread_counts[1];
+  double parallelism =
+      ParallelismProbe(probe_threads, config.smoke ? 20000000 : 100000000);
+  std::printf("  parallelism probe: %.2f of %zu spinning threads ran at once "
+              "(%u hardware threads)\n",
+              parallelism, probe_threads, std::thread::hardware_concurrency());
+
   std::string json = "{\"config\":{";
   json += "\"ops_per_thread\":" + std::to_string(config.ops_per_thread);
   json += ",\"entries\":" + std::to_string(config.entries);
   json += ",\"tables\":" + std::to_string(config.tables);
+  json += ",\"repetitions\":" + std::to_string(kRepetitions);
   json += ",\"smoke\":" + std::string(config.smoke ? "true" : "false");
   json += ",\"hardware_threads\":" +
           std::to_string(std::thread::hardware_concurrency());
-  json += "},\"memo_lookup\":" + SweepJson(memo);
+  json += "},\"parallelism_probe\":{\"threads\":" +
+          std::to_string(probe_threads);
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), ",\"parallelism\":%.3f}", parallelism);
+  json += buffer;
+  json += ",\"memo_lookup\":" + SweepJson(memo);
   json += ",\"catalog_resolve\":" + SweepJson(resolve);
-  json += ",\"epoch\":{\"pins\":" + std::to_string(epoch.pins);
-  json += ",\"advances\":" + std::to_string(epoch.advances);
-  json += ",\"retired\":" + std::to_string(epoch.retired);
-  json += ",\"reclaimed\":" + std::to_string(epoch.reclaimed);
-  json += ",\"overflow_pins\":" + std::to_string(epoch.overflow_pins) + "}";
+  json += ",\"short_sinks\":" + std::to_string(short_sinks);
   json += "}";
-  std::ofstream out(config.out);
-  out << json << "\n";
-  out.close();
+  WriteJsonReport(config.out, json);
   std::printf("  -> %s\n", config.out.c_str());
 
   // Smoke assertions (scripts/check.sh `contention`).
   int failures = 0;
   if (config.smoke) {
-    auto gate = [&failures](const char* what, const std::vector<SweepResult>& rows) {
-      double one = rows[0].lockfree_ops;
-      double eight = rows[1].lockfree_ops;
+    auto gate = [&failures](const char* what, const std::vector<SweepPoint>& points) {
+      double one = Quantile(points[0].ops, 0.5);
+      double eight = Quantile(points[1].ops, 0.5);
       if (eight < kSmokeParityMargin * one) {
         std::fprintf(stderr,
-                     "SMOKE FAIL: %s 8-thread lock-free throughput %.0f < "
-                     "%.2f x 1-thread %.0f (collapsed to serialized)\n",
+                     "SMOKE FAIL: %s median 8-thread throughput %.0f < "
+                     "%.2f x median 1-thread %.0f (collapsed to serialized)\n",
                      what, eight, kSmokeParityMargin, one);
         ++failures;
       }
     };
     gate("memo_lookup", memo);
     gate("catalog_resolve", resolve);
-    if (epoch.pins == 0) {
-      std::fprintf(stderr, "SMOKE FAIL: no epoch pins recorded\n");
+    if (short_sinks != 0) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: %zu sweeps had a lookup miss or a failed "
+                   "resolve (every op must succeed)\n",
+                   short_sinks);
       ++failures;
     }
   }

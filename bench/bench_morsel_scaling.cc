@@ -25,7 +25,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <sstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -99,7 +99,7 @@ double BestAtThreads(const std::vector<Cell>& cells, size_t threads) {
   return best;
 }
 
-void AppendGridJson(std::ofstream& out, double serial_us,
+void AppendGridJson(std::ostream& out, double serial_us,
                     const std::vector<Cell>& cells) {
   out << "\"serial_us\": " << serial_us << ", \"grid\": [";
   for (size_t i = 0; i < cells.size(); ++i) {
@@ -252,7 +252,7 @@ void Report() {
                 claim_status.c_str());
   }
 
-  std::ofstream out(OutDir() + "/morsel_scaling.json");
+  std::ostringstream out;
   out << "{\n  \"benchmark\": \"morsel_scaling\",\n"
       << "  \"hardware_cores\": " << cores << ",\n"
       << "  \"restrict_chain\": {\"rows\": " << stations->num_rows() << ", ";
@@ -265,7 +265,8 @@ void Report() {
       << "  \"fig07_stamps_identical\": "
       << (stamps_identical ? "true" : "false") << ",\n"
       << "  \"restrict_chain_speedup_8_threads\": " << chain_speedup8 << ",\n"
-      << "  \"claim_3x_at_8_threads\": \"" << claim_status << "\"\n}\n";
+      << "  \"claim_3x_at_8_threads\": \"" << claim_status << "\"\n}";
+  WriteJsonReport(OutDir() + "/morsel_scaling.json", out.str());
   std::printf("  wrote %s/morsel_scaling.json\n", OutDir().c_str());
 }
 

@@ -22,7 +22,6 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <random>
 #include <string>
@@ -553,9 +552,7 @@ int Run(int argc, char** argv) {
   json += ",\"shared_on\":" + shared_on.ToJson();
   json += ",\"shared_off\":" + shared_off.ToJson();
   json += "}";
-  std::ofstream out(config.out);
-  out << json << "\n";
-  out.close();
+  WriteJsonReport(config.out, json);
   std::printf("  -> %s\n", config.out.c_str());
 
   // Smoke assertions (scripts/check.sh `load-smoke`).

@@ -8,7 +8,6 @@
 #include "bench/bench_common.h"
 
 #include <chrono>
-#include <fstream>
 
 #include "data/generators.h"
 #include "db/exec_policy.h"
@@ -123,8 +122,7 @@ void WriteReport() {
                      ",\"simd_vs_vectorized\":" + std::to_string(a_vec_us / a_simd_us) +
                      ",\"simd_vs_scalar\":" + std::to_string(a_scalar_us / a_simd_us) +
                      "}}";
-  std::ofstream out(OutDir() + "/simd_kernels.json");
-  out << json << "\n";
+  WriteJsonReport(OutDir() + "/simd_kernels.json", json);
   std::printf(
       "  compound restrict (%zu rows): %.0f us scalar, %.0f us vectorized, "
       "%.0f us simd (%.2fx over vectorized)\n",

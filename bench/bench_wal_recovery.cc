@@ -19,7 +19,6 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <thread>
 
 #include "storage/storage_engine.h"
@@ -219,8 +218,7 @@ void Report() {
             ",\"records_replayed\":" + std::to_string(replayed) + "}";
   }
   json += "]}";
-  std::ofstream out(OutDir() + "/wal_recovery.json");
-  out << json << "\n";
+  WriteJsonReport(OutDir() + "/wal_recovery.json", json);
   std::printf("  -> bench_out/wal_recovery.json\n");
 }
 

@@ -13,7 +13,11 @@
 #               rasterizer writes spans straight into the framebuffer, with
 #               no per-pixel bounds test) and the expression parser /
 #               robustness tests (the parser's nesting bound is what keeps
-#               pathological input from overflowing the stack);
+#               pathological input from overflowing the stack) and the
+#               session-server / determinism / catalog tests (catalog
+#               snapshots and shared-cache entries are freed by reference
+#               count while pinned readers and evaluations may hold them:
+#               a premature free is a use-after-free asan reports);
 #   4. ubsan  — rebuild with UndefinedBehaviorSanitizer alone (unlike the
 #               asan pass it traps on the first finding instead of
 #               recovering) and run the join/operator tests — the class of
@@ -21,7 +25,8 @@
 #               out-of-range double->int64 cast — and the render tests,
 #               whose deep-zoom cases would overflow int device coordinates
 #               without saturation, and the expression parser / robustness
-#               tests (20,000-deep nesting must come back as a ParseError);
+#               tests (20,000-deep nesting and 20,000-term operator chains
+#               must come back as a ParseError);
 #   5. recovery — the crash-safety gate: the storage tests (which include
 #               the nine-figure kill-and-recover snapshot/replay cycle) under
 #               ThreadSanitizer — snapshotting runs on a background thread
@@ -52,15 +57,16 @@
 #               the dict join never fell back to string hashing; then
 #               validates the JSON.
 #  10. contention — a small-N run of the lock-contention harness
-#               (bench_lock_contention --smoke): sweeps the epoch-reclaimed
-#               lock-free memo-lookup and catalog-resolution paths at 1/8/32
-#               reader threads, asserting 8-thread throughput holds parity
-#               with 1 thread (readers must never re-serialize) and that
-#               epoch pins were actually taken; then validates the JSON.
-# The epoch-reclamation tests (epoch_test, incl. the reader/retire torture
-# case) run in the tsan, asan, AND ubsan passes: reclaim-while-pinned is a
-# use-after-free asan turns into a hard failure, and pin/advance ordering
-# bugs are races tsan reports.
+#               (bench_lock_contention --smoke): sweeps the sharded-LRU
+#               memo-lookup and pinned catalog-resolution paths at 1/8/32
+#               reader threads, five interleaved repetitions each, asserting
+#               the median 8-thread throughput holds parity with the median
+#               1-thread throughput (readers must never re-serialize) and
+#               that every lookup hit and every resolve found its table;
+#               then validates the JSON.
+# The catalog-churn torture case (session_server_test) runs in the tsan and
+# asan passes: a snapshot freed under a pinned reader is a use-after-free
+# asan reports, and a publish racing a reader is a race tsan reports.
 # Pass --fast to run tier 1 only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -99,7 +105,7 @@ else
   grep -q '"fig07"' bench_out/dict_strings_smoke.json
 fi
 
-echo "== contention: lock-free read-path harness, small N =="
+echo "== contention: read-path contention harness, small N =="
 cmake --build build -j --target bench_lock_contention
 build/bench/bench_lock_contention --smoke --out=bench_out/lock_contention.json
 if command -v python3 >/dev/null 2>&1; then
@@ -109,31 +115,32 @@ else
   grep -q '"catalog_resolve"' bench_out/lock_contention.json
 fi
 
-echo "== tsan: runtime + session server + epoch + morsel fan-out tests =="
+echo "== tsan: runtime + session server + morsel fan-out tests =="
 cmake -B build-tsan -S . -DTIOGA2_TSAN=ON >/dev/null
 cmake --build build-tsan -j --target \
   runtime_test session_server_test runtime_determinism_test delta_update_test \
-  batch_eval_test epoch_test
+  batch_eval_test
 (cd build-tsan && ctest --output-on-failure \
-  -R 'runtime|session_server|delta_update|batch_eval|epoch')
+  -R 'runtime|session_server|delta_update|batch_eval')
 
-echo "== asan: columnar + batch evaluation + aggregates + epoch + render + parser tests =="
+echo "== asan: columnar + batch evaluation + aggregates + render + parser + session tests =="
 cmake -B build-asan -S . -DTIOGA2_ASAN=ON >/dev/null
 cmake --build build-asan -j --target \
   columnar_test batch_eval_test operators_test display_relation_test \
-  aggregates_test epoch_test render_test canvas_renderer_test viewer_test \
-  robustness_test expr_parser_test
+  aggregates_test render_test canvas_renderer_test viewer_test \
+  robustness_test expr_parser_test session_server_test \
+  runtime_determinism_test catalog_csv_test
 (cd build-asan && ctest --output-on-failure \
-  -R 'columnar_test|batch_eval_test|operators_test|display_relation_test|aggregates_test|epoch_test|render_test|canvas_renderer_test|viewer_test|robustness_test|expr_parser_test')
+  -R 'columnar_test|batch_eval_test|operators_test|display_relation_test|aggregates_test|render_test|canvas_renderer_test|viewer_test|robustness_test|expr_parser_test|session_server_test|runtime_determinism_test|catalog_csv_test')
 
-echo "== ubsan: join + operator + aggregates + epoch + render + parser tests =="
+echo "== ubsan: join + operator + aggregates + render + parser tests =="
 cmake -B build-ubsan -S . -DTIOGA2_UBSAN=ON >/dev/null
 cmake --build build-ubsan -j --target \
   join_test operators_test columnar_test batch_eval_test aggregates_test \
-  epoch_test render_test canvas_renderer_test viewer_test \
+  render_test canvas_renderer_test viewer_test \
   robustness_test expr_parser_test
 (cd build-ubsan && ctest --output-on-failure \
-  -R 'join_test|operators_test|columnar_test|batch_eval_test|aggregates_test|epoch_test|render_test|canvas_renderer_test|viewer_test|robustness_test|expr_parser_test')
+  -R 'join_test|operators_test|columnar_test|batch_eval_test|aggregates_test|render_test|canvas_renderer_test|viewer_test|robustness_test|expr_parser_test')
 
 echo "== recovery: storage snapshot/replay under tsan, crash injection under asan =="
 cmake --build build-tsan -j --target storage_test

@@ -5,48 +5,92 @@
 namespace tioga2::db {
 
 namespace {
+
 /// Innermost live ReadPin on this thread (across all catalogs; each frame
 /// records which catalog it pins, so nested pins of different catalogs
 /// coexist).
 thread_local Catalog::ReadPin* tl_top_pin = nullptr;
+
+/// Source of snapshot generations. Process-unique, so a thread's cached
+/// generation can only ever match the catalog that published it.
+std::atomic<uint64_t> g_next_generation{1};
+
+/// Set when this thread's slot is destroyed at thread exit, so a catalog
+/// destroyed later on the same thread (say, one with static storage) does
+/// not touch it.
+thread_local bool tl_slot_destroyed = false;
+
 }  // namespace
 
-Catalog::Catalog() { snapshot_.store(new Snapshot(), std::memory_order_release); }
+struct Catalog::ThreadSlot {
+  const Catalog* catalog = nullptr;  // whose snapshot this is
+  uint64_t generation = 0;           // 0 is never issued
+  SnapshotPtr snapshot;
+};
+
+std::shared_ptr<Catalog::ThreadSlot>& Catalog::ThisThreadSlot() {
+  // The slot is itself reference-counted so that what Current() returns can
+  // alias it: copies bump the slot's thread-private count, never the
+  // snapshot's, whose count every reading thread would otherwise share.
+  struct Holder {
+    std::shared_ptr<ThreadSlot> slot = std::make_shared<ThreadSlot>();
+    ~Holder() { tl_slot_destroyed = true; }
+  };
+  thread_local Holder holder;
+  return holder.slot;
+}
+
+Catalog::Catalog() { PublishSnapshot(); }
 
 Catalog::~Catalog() {
-  // Snapshots retired through a domain are deleted by the domain; only the
-  // currently-published one is still ours.
-  delete snapshot_.load(std::memory_order_acquire);
+  // This thread's slot would otherwise keep the last snapshot it read of
+  // this catalog, and every relation in it, alive until the thread reads
+  // another catalog. Other threads' slots are out of reach; each holds at
+  // most one snapshot, released when that thread reads again or exits.
+  if (tl_slot_destroyed) return;
+  std::shared_ptr<ThreadSlot>& slot = ThisThreadSlot();
+  if (slot->catalog == this) slot = std::make_shared<ThreadSlot>();
 }
 
 Catalog::ReadPin::ReadPin(const Catalog& catalog)
-    : catalog_(&catalog),
-      guard_(catalog.domain_),
-      snapshot_(catalog.snapshot_.load(std::memory_order_acquire)),
-      prev_(tl_top_pin) {
+    : catalog_(&catalog), snapshot_(catalog.Current()), prev_(tl_top_pin) {
   tl_top_pin = this;
 }
 
 Catalog::ReadPin::~ReadPin() { tl_top_pin = prev_; }
 
-const Catalog::Snapshot* Catalog::PinnedSnapshot() const {
-  for (ReadPin* pin = tl_top_pin; pin != nullptr; pin = pin->prev_) {
-    if (pin->catalog_ == this)
-      return static_cast<const Snapshot*>(pin->snapshot_);
+Catalog::SnapshotPtr Catalog::Current() const {
+  std::shared_ptr<ThreadSlot>& slot = ThisThreadSlot();
+  if (slot->generation != generation_.load(std::memory_order_acquire)) {
+    auto fresh = std::make_shared<ThreadSlot>();
+    fresh->catalog = this;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      fresh->generation = generation_.load(std::memory_order_relaxed);
+      fresh->snapshot = snapshot_;
+    }
+    slot = std::move(fresh);  // pins still holding the old slot keep it alive
   }
-  return nullptr;
+  return SnapshotPtr(slot, slot->snapshot.get());
+}
+
+Catalog::SnapshotPtr Catalog::ReadSnapshot() const {
+  for (ReadPin* pin = tl_top_pin; pin != nullptr; pin = pin->prev_) {
+    if (pin->catalog_ == this) return pin->snapshot_;
+  }
+  return Current();
 }
 
 void Catalog::PublishSnapshot() {
-  const Snapshot* fresh = new Snapshot{tables_, programs_};
-  const Snapshot* old = snapshot_.exchange(fresh, std::memory_order_acq_rel);
-  if (domain_ != nullptr) {
-    domain_->Retire([old] { delete old; });
-  } else {
-    // No domain wired ⇒ no concurrent readers (the pre-snapshot contract):
-    // deleting inline keeps single-threaded use allocation-neutral.
-    delete old;
+  SnapshotPtr fresh = std::make_shared<const Snapshot>(Snapshot{tables_, programs_});
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    snapshot_.swap(fresh);
+    generation_.store(g_next_generation.fetch_add(1, std::memory_order_relaxed),
+                      std::memory_order_release);
   }
+  // `fresh` now holds the replaced snapshot; it is freed here, outside the
+  // lock, unless a reader still holds it.
 }
 
 Status Catalog::RegisterTable(const std::string& name, RelationPtr relation) {
@@ -134,37 +178,19 @@ Status Catalog::DropTable(const std::string& name) {
 }
 
 Result<RelationPtr> Catalog::GetTable(const std::string& name) const {
-  if (const Snapshot* pinned = PinnedSnapshot()) {
-    auto it = pinned->tables.find(name);
-    if (it == pinned->tables.end())
-      return Status::NotFound("no table named '" + name + "'");
-    return it->second.relation;
-  }
-  common::ReclamationDomain::Guard guard(domain_);
-  const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
+  SnapshotPtr snap = ReadSnapshot();
   auto it = snap->tables.find(name);
   if (it == snap->tables.end())
     return Status::NotFound("no table named '" + name + "'");
-  return it->second.relation;  // shared_ptr copied while pinned
+  return it->second.relation;
 }
 
 bool Catalog::HasTable(const std::string& name) const {
-  if (const Snapshot* pinned = PinnedSnapshot())
-    return pinned->tables.count(name) > 0;
-  common::ReclamationDomain::Guard guard(domain_);
-  const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
-  return snap->tables.count(name) > 0;
+  return ReadSnapshot()->tables.count(name) > 0;
 }
 
 Result<uint64_t> Catalog::TableVersion(const std::string& name) const {
-  if (const Snapshot* pinned = PinnedSnapshot()) {
-    auto it = pinned->tables.find(name);
-    if (it == pinned->tables.end())
-      return Status::NotFound("no table named '" + name + "'");
-    return it->second.version;
-  }
-  common::ReclamationDomain::Guard guard(domain_);
-  const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
+  SnapshotPtr snap = ReadSnapshot();
   auto it = snap->tables.find(name);
   if (it == snap->tables.end())
     return Status::NotFound("no table named '" + name + "'");
@@ -172,14 +198,8 @@ Result<uint64_t> Catalog::TableVersion(const std::string& name) const {
 }
 
 std::vector<std::string> Catalog::ListTables() const {
+  SnapshotPtr snap = ReadSnapshot();
   std::vector<std::string> names;
-  if (const Snapshot* pinned = PinnedSnapshot()) {
-    names.reserve(pinned->tables.size());
-    for (const auto& [name, entry] : pinned->tables) names.push_back(name);
-    return names;
-  }
-  common::ReclamationDomain::Guard guard(domain_);
-  const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
   names.reserve(snap->tables.size());
   for (const auto& [name, entry] : snap->tables) names.push_back(name);
   return names;
@@ -207,14 +227,7 @@ void Catalog::RestoreVersionFloor(const std::string& name, uint64_t version) {
 }
 
 Result<std::string> Catalog::GetProgram(const std::string& name) const {
-  if (const Snapshot* pinned = PinnedSnapshot()) {
-    auto it = pinned->programs.find(name);
-    if (it == pinned->programs.end())
-      return Status::NotFound("no program named '" + name + "'");
-    return it->second;
-  }
-  common::ReclamationDomain::Guard guard(domain_);
-  const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
+  SnapshotPtr snap = ReadSnapshot();
   auto it = snap->programs.find(name);
   if (it == snap->programs.end())
     return Status::NotFound("no program named '" + name + "'");
@@ -222,14 +235,8 @@ Result<std::string> Catalog::GetProgram(const std::string& name) const {
 }
 
 std::vector<std::string> Catalog::ListPrograms() const {
+  SnapshotPtr snap = ReadSnapshot();
   std::vector<std::string> names;
-  if (const Snapshot* pinned = PinnedSnapshot()) {
-    names.reserve(pinned->programs.size());
-    for (const auto& [name, program] : pinned->programs) names.push_back(name);
-    return names;
-  }
-  common::ReclamationDomain::Guard guard(domain_);
-  const Snapshot* snap = snapshot_.load(std::memory_order_acquire);
   names.reserve(snap->programs.size());
   for (const auto& [name, program] : snap->programs) names.push_back(name);
   return names;

@@ -4,10 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/reclaim.h"
 #include "common/result.h"
 #include "db/relation.h"
 
@@ -63,22 +64,25 @@ class CatalogListener {
 /// silently — and wrongly — considered fresh.)
 ///
 /// Concurrency (DESIGN.md §13): every const read is served from an IMMUTABLE
-/// snapshot republished after each mutation, so readers never take a lock.
-/// Mutators are NOT internally synchronized against each other — the caller
-/// serializes them (SessionServer holds catalog_mu_ exclusively) — but a
-/// mutator may run concurrently with any number of readers: the old snapshot
-/// is retired through the wired ReclamationDomain, which delays its deletion
-/// until every pinned reader has moved on. Without a domain wired the old
-/// snapshot is deleted immediately, which is the pre-existing contract: no
-/// concurrent readers exist (single-threaded tests, recovery replay).
+/// snapshot, a std::shared_ptr<const Snapshot> republished under a small
+/// mutex after each mutation. Mutators are NOT internally synchronized
+/// against each other — the caller serializes them (SessionServer holds
+/// catalog_mu_) — but a mutator may run concurrently with any number of
+/// readers: a replaced snapshot lives until its last reader drops it.
+///
+/// Readers rarely touch the mutex. Each publish carries a process-unique
+/// generation number, and every thread keeps a one-slot cache of the last
+/// {generation, snapshot} it read; a read compares generations and takes the
+/// mutex only when the catalog has changed since this thread last looked.
 ///
 /// A multi-step read that must see ONE consistent catalog state — e.g. an
 /// evaluation that stamps against TableVersion and later fetches GetTable —
-/// brackets itself in a ReadPin, which pins the snapshot current at
+/// brackets itself in a ReadPin, which holds the snapshot current at
 /// construction for every read on that thread until destruction. Reads
-/// outside any ReadPin pin per call, which is consistent enough for
-/// single-shot queries and gives read-your-writes to mutating threads (the
-/// mutation republished the snapshot before returning).
+/// outside any ReadPin see the current snapshot per call, which is
+/// consistent enough for single-shot queries and gives read-your-writes to
+/// mutating threads (the mutation republished the snapshot before
+/// returning).
 class Catalog {
  public:
   Catalog();
@@ -88,19 +92,18 @@ class Catalog {
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
 
-  /// Wires the reclamation domain readers pin and retired snapshots pass
-  /// through. Must be called before the first concurrent read; the domain
-  /// must outlive the catalog.
-  void set_reclamation_domain(common::ReclamationDomain* domain) {
-    domain_ = domain;
-  }
+ private:
+  struct Snapshot;
+  using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
-  /// Pins the snapshot current at construction for EVERY read this thread
+ public:
+  /// Holds the snapshot current at construction for EVERY read this thread
   /// makes on this catalog until destruction (frames nest; the innermost
   /// pin for a given catalog wins). The SessionServer brackets each
   /// Access::kRead handler in one, so stamping (TableVersion) and fetching
-  /// (GetTable) cannot straddle a concurrent writer's publish — the lock-free
-  /// replacement for holding a reader lock across the whole request.
+  /// (GetTable) cannot straddle a concurrent writer's publish, without
+  /// holding a reader lock across the whole request. The pin owns a
+  /// reference, so the snapshot outlives any mutation made meanwhile.
   class ReadPin {
    public:
     explicit ReadPin(const Catalog& catalog);
@@ -111,9 +114,8 @@ class Catalog {
    private:
     friend class Catalog;
     const Catalog* catalog_;
-    common::ReclamationDomain::Guard guard_;
-    const void* snapshot_;  // const Snapshot*, typed inside catalog.cc
-    ReadPin* prev_;         // enclosing frame (thread-local stack)
+    SnapshotPtr snapshot_;
+    ReadPin* prev_;  // enclosing frame (thread-local stack)
   };
 
   /// Registers a new table; fails if the name is taken.
@@ -195,16 +197,24 @@ class Catalog {
     std::map<std::string, std::string> programs;
   };
 
-  /// Copies the write-side maps into a fresh snapshot, publishes it, and
-  /// retires (or, with no domain, deletes) the old one. Called at the end of
-  /// every mutator, on the mutating thread.
+  /// Copies the write-side maps into a fresh snapshot and publishes it under
+  /// a new generation. Called at the end of every mutator, on the mutating
+  /// thread; the replaced snapshot is freed when its last reader drops it.
   void PublishSnapshot();
 
-  /// The snapshot reads on this thread should use: the innermost ReadPin's
-  /// if one is live for this catalog, else null (caller pins per call).
-  const Snapshot* PinnedSnapshot() const;
+  /// One thread's cache of the last snapshot it read (see Current()).
+  struct ThreadSlot;
+  static std::shared_ptr<ThreadSlot>& ThisThreadSlot();
 
-  common::ReclamationDomain* domain_ = nullptr;
+  /// The current snapshot, through this thread's one-slot generation cache:
+  /// takes mu_ only when the catalog has been republished since this thread
+  /// last read it. The returned pointer shares ownership with the slot, so
+  /// holding it costs no traffic on a cache line other threads touch.
+  SnapshotPtr Current() const;
+
+  /// The snapshot reads on this thread should use: the innermost ReadPin's
+  /// if one is live for this catalog, else Current().
+  SnapshotPtr ReadSnapshot() const;
 
   // Write-side authoritative state; mutators read and update these directly
   // (serialized by the caller), readers never touch them.
@@ -214,8 +224,12 @@ class Catalog {
   std::map<std::string, uint64_t> version_floors_;
   CatalogListener* listener_ = nullptr;
 
-  /// Read-side published state (release store, acquire load; never null).
-  std::atomic<const Snapshot*> snapshot_;
+  // Read-side published state. generation_ is stored under mu_ with
+  // release order and loaded without it, so a reader whose cached
+  // generation still matches skips the mutex.
+  mutable std::mutex mu_;
+  SnapshotPtr snapshot_;  // guarded by mu_; never null
+  std::atomic<uint64_t> generation_{0};
 };
 
 }  // namespace tioga2::db

@@ -1,5 +1,6 @@
 #include "expr/parser.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "expr/lexer.h"
@@ -41,20 +42,34 @@ class Parser {
                               std::to_string(Current().position));
   }
 
+  Status TooDeep() const {
+    return Status::ParseError("expression nested deeper than " +
+                              std::to_string(kMaxExprNesting) +
+                              " levels at offset " +
+                              std::to_string(Current().position));
+  }
+
   // Parses one nested construct with `parse`, counting it against
   // kMaxExprNesting.
   template <typename ParseFn>
   Result<ExprNodePtr> Nested(ParseFn parse) {
-    if (depth_ == kMaxExprNesting) {
-      return Status::ParseError("expression nested deeper than " +
-                                std::to_string(kMaxExprNesting) +
-                                " levels at offset " +
-                                std::to_string(Current().position));
-    }
+    if (depth_ == kMaxExprNesting) return TooDeep();
     ++depth_;
     Result<ExprNodePtr> result = parse();
     --depth_;
     return result;
+  }
+
+  // Records the height of a new operator node over children whose tallest
+  // is `child_height`. Nested bounds the parser's own recursion, but an
+  // operator chain (`1 + 1 + ...`) builds one tree level per link without
+  // recursing; every later pass over the tree (analysis, compilation,
+  // evaluation) recurses per level, so the tree's height is held to the
+  // same kMaxExprNesting budget.
+  Status Grow(size_t child_height) {
+    if (child_height >= kMaxExprNesting) return TooDeep();
+    height_ = child_height + 1;
+    return Status::OK();
   }
 
   static ExprNodePtr MakeBinary(BinaryOp op, ExprNodePtr lhs, ExprNodePtr rhs,
@@ -73,7 +88,9 @@ class Parser {
     while (Current().kind == TokenKind::kOr) {
       size_t position = Current().position;
       Advance();
+      size_t lhs_height = height_;
       TIOGA2_ASSIGN_OR_RETURN(ExprNodePtr rhs, ParseAnd());
+      TIOGA2_RETURN_IF_ERROR(Grow(std::max(lhs_height, height_)));
       lhs = MakeBinary(BinaryOp::kOr, std::move(lhs), std::move(rhs), position);
     }
     return lhs;
@@ -84,7 +101,9 @@ class Parser {
     while (Current().kind == TokenKind::kAnd) {
       size_t position = Current().position;
       Advance();
+      size_t lhs_height = height_;
       TIOGA2_ASSIGN_OR_RETURN(ExprNodePtr rhs, ParseNot());
+      TIOGA2_RETURN_IF_ERROR(Grow(std::max(lhs_height, height_)));
       lhs = MakeBinary(BinaryOp::kAnd, std::move(lhs), std::move(rhs), position);
     }
     return lhs;
@@ -96,6 +115,7 @@ class Parser {
       Advance();
       TIOGA2_ASSIGN_OR_RETURN(ExprNodePtr operand,
                               Nested([&] { return ParseNot(); }));
+      TIOGA2_RETURN_IF_ERROR(Grow(height_));
       auto node = std::make_unique<ExprNode>();
       node->kind = ExprNode::Kind::kUnary;
       node->unary_op = UnaryOp::kNot;
@@ -121,7 +141,9 @@ class Parser {
     }
     size_t position = Current().position;
     Advance();
+    size_t lhs_height = height_;
     TIOGA2_ASSIGN_OR_RETURN(ExprNodePtr rhs, ParseAdditive());
+    TIOGA2_RETURN_IF_ERROR(Grow(std::max(lhs_height, height_)));
     return MakeBinary(op, std::move(lhs), std::move(rhs), position);
   }
 
@@ -131,7 +153,9 @@ class Parser {
       BinaryOp op = Current().kind == TokenKind::kPlus ? BinaryOp::kAdd : BinaryOp::kSub;
       size_t position = Current().position;
       Advance();
+      size_t lhs_height = height_;
       TIOGA2_ASSIGN_OR_RETURN(ExprNodePtr rhs, ParseMultiplicative());
+      TIOGA2_RETURN_IF_ERROR(Grow(std::max(lhs_height, height_)));
       lhs = MakeBinary(op, std::move(lhs), std::move(rhs), position);
     }
     return lhs;
@@ -152,7 +176,9 @@ class Parser {
       }
       size_t position = Current().position;
       Advance();
+      size_t lhs_height = height_;
       TIOGA2_ASSIGN_OR_RETURN(ExprNodePtr rhs, ParseUnary());
+      TIOGA2_RETURN_IF_ERROR(Grow(std::max(lhs_height, height_)));
       lhs = MakeBinary(op, std::move(lhs), std::move(rhs), position);
     }
   }
@@ -163,6 +189,7 @@ class Parser {
       Advance();
       TIOGA2_ASSIGN_OR_RETURN(ExprNodePtr operand,
                               Nested([&] { return ParseUnary(); }));
+      TIOGA2_RETURN_IF_ERROR(Grow(height_));
       auto node = std::make_unique<ExprNode>();
       node->kind = ExprNode::Kind::kUnary;
       node->unary_op = UnaryOp::kNeg;
@@ -177,6 +204,7 @@ class Parser {
     const Token& token = Current();
     auto node = std::make_unique<ExprNode>();
     node->position = token.position;
+    height_ = 0;  // literals and attribute references are leaves
     switch (token.kind) {
       case TokenKind::kIntLiteral:
         node->kind = ExprNode::Kind::kLiteral;
@@ -214,16 +242,19 @@ class Parser {
         if (Accept(TokenKind::kLParen)) {
           node->kind = ExprNode::Kind::kCall;
           node->name = std::move(name);
+          size_t args_height = 0;
           if (!Accept(TokenKind::kRParen)) {
             while (true) {
               TIOGA2_ASSIGN_OR_RETURN(ExprNodePtr arg,
                                       Nested([&] { return ParseOr(); }));
               node->children.push_back(std::move(arg));
+              args_height = std::max(args_height, height_);
               if (Accept(TokenKind::kComma)) continue;
               if (Accept(TokenKind::kRParen)) break;
               return Unexpected("',' or ')'");
             }
           }
+          TIOGA2_RETURN_IF_ERROR(Grow(args_height));
           return node;
         }
         node->kind = ExprNode::Kind::kAttributeRef;
@@ -244,7 +275,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
-  size_t depth_ = 0;  // nesting levels open (see Nested)
+  size_t depth_ = 0;   // nesting levels open (see Nested)
+  size_t height_ = 0;  // height of the subtree parsed last (leaves are 0)
 };
 
 }  // namespace

@@ -9,11 +9,14 @@
 
 namespace tioga2::expr {
 
-/// The deepest nesting ParseExpr accepts. Each parenthesis, unary minus,
-/// `not` and call argument list opens one level; the recursive-descent
-/// parser returns a ParseError past this bound instead of recursing until
-/// the stack overflows. Far above any hand-written expression (the figure
-/// programs nest a few levels).
+/// The deepest nesting ParseExpr accepts, counted two ways, each held to
+/// this bound. While parsing, each parenthesis, unary minus, `not` and call
+/// argument list opens one level of the recursive-descent parser. In the
+/// resulting tree, each operator node (every link of a `1 + 1 + ...`
+/// chain, every unary operator and call) adds one level of height, which
+/// later passes recurse through. Past either bound ParseExpr returns a
+/// ParseError instead of recursing until the stack overflows. Far above any
+/// hand-written expression (the figure programs nest a few levels).
 inline constexpr size_t kMaxExprNesting = 256;
 
 /// Parses an expression string into an (unanalyzed) AST.

@@ -7,7 +7,6 @@
 #include "dataflow/shared_memo_cache.h"
 #include "expr/batch.h"
 #include "expr/simd/simd.h"
-#include "runtime/epoch.h"
 #include "storage/storage_metrics.h"
 
 namespace tioga2::runtime {
@@ -187,14 +186,6 @@ MetricsSnapshot Metrics::snapshot() const {
   snap.snapshots_written = stor.snapshots_written.load();
   snap.snapshot_ms = static_cast<double>(stor.snapshot_us_last.load()) / 1000.0;
   snap.recovery_ms = static_cast<double>(stor.recovery_us_last.load()) / 1000.0;
-  EpochDomain::Stats epoch = EpochDomain::Global().stats();
-  snap.epoch_current = epoch.epoch;
-  snap.epoch_advances = epoch.advances;
-  snap.epoch_retired = epoch.retired;
-  snap.epoch_reclaimed = epoch.reclaimed;
-  snap.epoch_pending = epoch.pending;
-  snap.epoch_pins = epoch.pins;
-  snap.epoch_overflow_pins = epoch.overflow_pins;
   return snap;
 }
 
@@ -308,16 +299,6 @@ std::string Metrics::ToJson() const {
           FormatDouble(static_cast<double>(stor.recovery_us_last.load()) / 1000.0);
   json += ",\"recovery_records_replayed\":" +
           std::to_string(stor.recovery_records_replayed.load());
-  json += "}";
-  EpochDomain::Stats epoch = EpochDomain::Global().stats();
-  json += ",\"epoch\":{";
-  json += "\"epoch\":" + std::to_string(epoch.epoch);
-  json += ",\"advances\":" + std::to_string(epoch.advances);
-  json += ",\"retired\":" + std::to_string(epoch.retired);
-  json += ",\"reclaimed\":" + std::to_string(epoch.reclaimed);
-  json += ",\"pending\":" + std::to_string(epoch.pending);
-  json += ",\"pins\":" + std::to_string(epoch.pins);
-  json += ",\"overflow_pins\":" + std::to_string(epoch.overflow_pins);
   json += "}}";
   return json;
 }

@@ -94,15 +94,6 @@ struct MetricsSnapshot {
   uint64_t snapshots_written = 0;
   double snapshot_ms = 0.0;
   double recovery_ms = 0.0;
-  // Epoch-based reclamation (runtime::EpochDomain::Global()), copied at
-  // snapshot time: the process-wide domain behind every lock-free read path.
-  uint64_t epoch_current = 0;
-  uint64_t epoch_advances = 0;
-  uint64_t epoch_retired = 0;
-  uint64_t epoch_reclaimed = 0;
-  uint64_t epoch_pending = 0;
-  uint64_t epoch_pins = 0;
-  uint64_t epoch_overflow_pins = 0;
 };
 
 /// The observability surface of the runtime: per-box-type fire latency

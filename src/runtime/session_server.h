@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 
 #include "common/result.h"
@@ -60,13 +59,12 @@ class Session {
 ///    serialized by the session's mutex (a client is a single logical
 ///    thread).
 ///  - Access::kRead handlers never take a lock on the shared catalog: they
-///    run inside a db::Catalog::ReadPin, which pins one immutable catalog
-///    snapshot (epoch-reclaimed through runtime::EpochDomain::Global()) for
-///    the whole handler, so stamping and table fetches cannot straddle a
-///    concurrent writer's publish. Access::kWrite handlers (§8 updates via
-///    ReplaceTable) still take catalog_mu_ exclusively — the lock now only
-///    serializes writers against each other, since the catalog's mutators
-///    are not internally synchronized.
+///    run inside a db::Catalog::ReadPin, which holds one immutable catalog
+///    snapshot (a reference-counted std::shared_ptr) for the whole handler,
+///    so stamping and table fetches cannot straddle a concurrent writer's
+///    publish. Access::kWrite handlers (§8 updates via ReplaceTable) take
+///    catalog_mu_, a plain mutex that serializes writers against each
+///    other, since the catalog's mutators are not internally synchronized.
 ///  - Admission control is bounded and non-blocking: when `queue_bound`
 ///    requests are already in flight, Submit immediately resolves the
 ///    request with Status::Unavailable instead of queueing or blocking
@@ -78,8 +76,9 @@ class Session {
 ///    running its handler.
 class SessionServer {
  public:
-  /// Catalog access a handler needs: kRead handlers run concurrently with
-  /// each other, kWrite handlers run exclusively.
+  /// Catalog access a handler needs: kRead handlers run against a pinned
+  /// snapshot, concurrently with everything; kWrite handlers run one at a
+  /// time.
   enum class Access { kRead, kWrite };
 
   /// Scheduling class of a request. kInteractive (the default) may use the
@@ -110,7 +109,7 @@ class SessionServer {
   struct Request {
     /// The request body; must be non-null.
     Handler handler;
-    /// Catalog access the handler needs (readers share, writers exclude).
+    /// Catalog access the handler needs (writers exclude each other).
     Access access = Access::kRead;
     /// Deadline measured from Submit; zero = Options::default_deadline.
     std::chrono::milliseconds deadline{0};
@@ -185,9 +184,9 @@ class SessionServer {
   uint64_t next_session_ = 1;
 
   /// Serializes Access::kWrite handlers against each other. kRead handlers
-  /// no longer touch it — they read epoch-pinned catalog snapshots (see the
-  /// class comment) — so this is a writer-writer lock in all but type.
-  std::shared_mutex catalog_mu_;
+  /// never touch it — they read pinned catalog snapshots (see the class
+  /// comment).
+  std::mutex catalog_mu_;
 
   /// Requests accepted but not yet finished (admission control).
   std::atomic<size_t> in_flight_{0};

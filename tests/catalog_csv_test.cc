@@ -104,6 +104,37 @@ TEST(CatalogTest, VersionsStayMonotonicAcrossDropAndRecreate) {
   EXPECT_EQ(catalog.TableVersion("U").value(), 1u);
 }
 
+// A ReadPin owns its snapshot: mutations this same thread makes while the
+// pin is live republish the catalog, but every read under the pin keeps
+// seeing the pinned state, and the replaced snapshot stays alive until the
+// pin lets go. No server is involved.
+TEST(CatalogTest, ReadPinKeepsItsSnapshotAcrossSameThreadMutation) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.RegisterTable("T", SmallTable()).ok());
+  catalog.SaveProgram("p", "old");
+  auto three_rows =
+      MakeRelation({Column{"id", DataType::kInt}, Column{"name", DataType::kString}},
+                   {{Value::Int(1), Value::String("a")},
+                    {Value::Int(2), Value::String("b")},
+                    {Value::Int(3), Value::String("c")}})
+          .value();
+  {
+    Catalog::ReadPin pin(catalog);
+    ASSERT_TRUE(catalog.ReplaceTable("T", three_rows).ok());
+    ASSERT_TRUE(catalog.RegisterTable("U", SmallTable()).ok());
+    catalog.SaveProgram("p", "new");
+    EXPECT_EQ(catalog.TableVersion("T").value(), 1u);
+    EXPECT_EQ(catalog.GetTable("T").value()->num_rows(), 2u);
+    EXPECT_FALSE(catalog.HasTable("U"));
+    EXPECT_EQ(catalog.ListTables(), std::vector<std::string>{"T"});
+    EXPECT_EQ(catalog.GetProgram("p").value(), "old");
+  }
+  EXPECT_EQ(catalog.TableVersion("T").value(), 2u);
+  EXPECT_EQ(catalog.GetTable("T").value()->num_rows(), 3u);
+  EXPECT_TRUE(catalog.HasTable("U"));
+  EXPECT_EQ(catalog.GetProgram("p").value(), "new");
+}
+
 TEST(CsvTest, RoundTripAllTypes) {
   auto relation =
       MakeRelation({Column{"flag", DataType::kBool}, Column{"n", DataType::kInt},

@@ -121,9 +121,54 @@ TEST(RobustnessTest, NestingBoundIsExact) {
   EXPECT_TRUE(
       expr::ParseExpr(nested(expr::kMaxExprNesting + 1)).status().IsParseError());
   // Levels are counted while open, not in total: many shallow groups parse.
+  // The chain joining them is kMaxExprNesting - 1 links long, so the tree is
+  // exactly at the height bound (the deepest `-` sits under every link),
+  // while the groups open three times that many levels in total.
   std::string wide = "1";
-  for (size_t i = 0; i < 4 * expr::kMaxExprNesting; ++i) wide += " + (-(1))";
+  for (size_t i = 0; i + 1 < expr::kMaxExprNesting; ++i) wide += " + (-(1))";
   EXPECT_TRUE(expr::ParseExpr(wide).ok());
+  EXPECT_TRUE(expr::ParseExpr(wide + " + (-(1))").status().IsParseError());
+}
+
+// Each link of a flat operator chain adds one level to the tree the parser
+// builds, and compilation recurses once per level: a 20,000-term chain used
+// to overflow the stack inside CompiledExpr::Compile. The chain's height is
+// held to kMaxExprNesting, so it is a ParseError instead.
+TEST(RobustnessTest, PathologicalOperatorChainIsAParseErrorNotACrash) {
+  const size_t kTerms = 20000;
+  auto chain = [](const std::string& term, const std::string& op, size_t terms) {
+    std::string out = term;
+    for (size_t i = 1; i < terms; ++i) out += op + term;
+    return out;
+  };
+  const std::string cases[] = {
+      chain("1", " + ", kTerms),
+      chain("1", " * ", kTerms),
+      chain("true", " and ", kTerms),
+      chain("true", " or ", kTerms),
+  };
+  for (const std::string& source : cases) {
+    auto ast = expr::ParseExpr(source);
+    ASSERT_FALSE(ast.ok()) << source.substr(0, 12);
+    EXPECT_TRUE(ast.status().IsParseError()) << ast.status().ToString();
+  }
+}
+
+TEST(RobustnessTest, OperatorChainBoundIsExact) {
+  auto chain = [](size_t links) {
+    std::string out = "1";
+    for (size_t i = 0; i < links; ++i) out += " + 1";
+    return out;
+  };
+  auto at_bound = expr::ParseExpr(chain(expr::kMaxExprNesting));
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status().ToString();
+  // The longest accepted chain also analyzes and compiles.
+  expr::TypeEnv env = expr::MakeSchemaTypeEnv({});
+  auto compiled = expr::CompiledExpr::Compile(chain(expr::kMaxExprNesting), env);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_TRUE(expr::ParseExpr(chain(expr::kMaxExprNesting + 1))
+                  .status()
+                  .IsParseError());
 }
 
 TEST(RobustnessTest, HugeStringsSurvive) {

@@ -321,17 +321,5 @@ TEST(MetricsJsonTest, HostileTagsAndBoxTypesAreEscaped) {
   EXPECT_EQ(quotes % 2, 0u) << json;
 }
 
-TEST(MetricsJsonTest, EpochSectionSurfacesGlobalDomainCounters) {
-  Metrics metrics;
-  std::string json = metrics.ToJson();
-  EXPECT_NE(json.find("\"epoch\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"advances\":"), std::string::npos);
-  EXPECT_NE(json.find("\"retired\":"), std::string::npos);
-  EXPECT_NE(json.find("\"reclaimed\":"), std::string::npos);
-  MetricsSnapshot snap = metrics.snapshot();
-  EXPECT_GE(snap.epoch_current, 2u);  // kFirstEpoch
-  EXPECT_GE(snap.epoch_retired, snap.epoch_reclaimed);
-}
-
 }  // namespace
 }  // namespace tioga2::runtime
